@@ -314,13 +314,19 @@ inline void RunTieredExperiment(const char* experiment, uint64_t seed,
     Rng qrng(query_seed);
     auto box = workload::ComputeBoundingBox(segs);
     auto queries = workload::GenVsQueries(qrng, 64, box, 0.01);
+    uint64_t max_misses = 0;  // per query, measured pass
     for (int pass = 0; pass < 2; ++pass) {
       if (pass == 1) pool.ResetStats();
       for (const workload::VsQuery& q : queries) {
+        const uint64_t misses_before = pool.stats().misses;
         std::vector<geom::Segment> out;
         Check(index.Query(core::VerticalSegmentQuery{q.x0, q.ylo, q.yhi},
                           &out),
               "query");
+        if (pass == 1) {
+          max_misses =
+              std::max(max_misses, pool.stats().misses - misses_before);
+        }
       }
     }
     const io::BufferPoolStats stats = pool.stats();
@@ -340,6 +346,7 @@ inline void RunTieredExperiment(const char* experiment, uint64_t seed,
     record.num_queries = queries.size();
     record.avg_ios =
         static_cast<double>(stats.misses) * per_query;
+    record.max_ios = static_cast<double>(max_misses);
     record.compression_ratio = CodecCompressionRatio();
     record.compressed_hits = stats.compressed_hits;
     json->Add(std::move(record));

@@ -13,6 +13,13 @@ namespace segdb::itree {
 namespace {
 using geom::Segment;
 constexpr uint32_t kLeafHeader = 8;
+// A child may hold twice the mean child plus a leaf before its node's
+// subtree is rebuilt — Solution B's constant, for the same reason: the
+// quantile split starts each slab near 1/(b+1) of the node, so a child
+// must about double (Theta(size) updates) before a rebuild, and with
+// b >= 2 a child stays under 2/3 of its node, keeping the height
+// O(log_b n).
+constexpr double kRebuildFactor = 2.0;
 }  // namespace
 
 IntervalTree::IntervalTree(io::BufferPool* pool, IntervalTreeOptions options)
@@ -405,7 +412,7 @@ Status IntervalTree::Insert(const Segment& segment) {
       if (below > 2 * static_cast<uint64_t>(LeafCapacity()) &&
           (node.inserts_since_rebuild + 1) * 8 > node.subtree_size + 1 &&
           static_cast<double>(max_child) >
-              options_.rebuild_factor * share + LeafCapacity()) {
+              kRebuildFactor * share + LeafCapacity()) {
         std::vector<Segment> all;
         all.reserve(node.subtree_size + 1);
         SEGDB_RETURN_IF_ERROR(CollectSubtree(cur, &all));

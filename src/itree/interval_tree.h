@@ -42,7 +42,6 @@ namespace segdb::itree {
 struct IntervalTreeOptions {
   uint32_t fanout = 0;         // boundaries per node; 0 = B/4
   uint32_t leaf_capacity = 0;  // 0 = one page's worth
-  double rebuild_factor = 2.0;
 };
 
 class IntervalTree {

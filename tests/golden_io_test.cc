@@ -22,10 +22,13 @@
 // leaf capacities — e.g. 4096-byte leaf regions went from 102 to 161
 // records — which lowered per-query cold misses. Output counts unchanged.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/durable_engine.h"
@@ -260,6 +263,113 @@ TEST(GoldenIoTest, SolutionBDurableEngineCountsMatchBare) {
       MeasureDurable<core::TwoLevelIntervalIndex>(1004, 13);
   CheckTrace(trace, "SolutionBDurable", ToVec(kGoldenSolutionBMisses),
              ToVec(kGoldenSolutionBOutput));
+}
+
+// Churn golden: the static goldens above pin the bulk-loaded shape only.
+// This one pins what updates do to it — leaf splits and the partial-rebuild
+// cadence of the first level. A quarter of the layer is held out: the
+// kSkewed segments with the largest x1 and a random rest. After bulk loading
+// the other segments, each step inserts the next held-out segment (the
+// random ones first, then the skewed ones) and erases the next loaded one.
+// The skewed tail unbalances the right of the first level, so a partial
+// rebuild fires in both solutions; the random prefix is long enough that
+// the rebuild guard (updates since the last rebuild > size/8) is met by the
+// inserts alone, so the pinned cadence does not depend on whether erases
+// count toward it. The cold per-query misses, the outputs and page_count()
+// are then pinned.
+constexpr uint64_t kChurnPairs = kN / 4;
+constexpr uint64_t kSkewed = kChurnPairs * 5 / 8;
+
+template <typename Index>
+CostTrace MeasureChurn(uint64_t data_seed, uint64_t query_seed,
+                       uint64_t* pages) {
+  CostTrace trace;
+  io::SimDiskManager disk(kPageSize);
+  io::BufferPool pool(&disk, 1 << 15);
+  Rng rng(data_seed);
+  auto layer = workload::GenMapLayer(rng, kN + kChurnPairs, 1 << 22);
+  std::sort(layer.begin(), layer.end(),
+            [](const geom::Segment& a, const geom::Segment& b) {
+              return a.x1 != b.x1 ? a.x1 < b.x1 : a.id < b.id;
+            });
+  const auto shuffle = [&](size_t lo, size_t hi) {
+    for (size_t i = hi - lo; i > 1; --i) {
+      std::swap(layer[lo + i - 1], layer[lo + rng.Uniform(i)]);
+    }
+  };
+  shuffle(0, layer.size() - kSkewed);
+  shuffle(layer.size() - kSkewed, layer.size());
+  Index index(&pool);
+  EXPECT_TRUE(
+      index.BulkLoad(std::span<const geom::Segment>(layer.data(), kN)).ok());
+  for (uint64_t i = 0; i < kChurnPairs; ++i) {
+    EXPECT_TRUE(index.Insert(layer[kN + i]).ok());
+    EXPECT_TRUE(index.Erase(layer[i]).ok());
+  }
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  *pages = index.page_count();
+
+  Rng qrng(query_seed);
+  auto box = workload::ComputeBoundingBox(layer);
+  auto queries = workload::GenVsQueries(qrng, kNumQueries, box, 0.01);
+  EXPECT_TRUE(pool.FlushAll().ok());
+  for (const workload::VsQuery& q : queries) {
+    EXPECT_TRUE(pool.EvictAll().ok());
+    pool.ResetStats();
+    std::vector<geom::Segment> out;
+    EXPECT_TRUE(
+        index.Query(core::VerticalSegmentQuery{q.x0, q.ylo, q.yhi}, &out)
+            .ok());
+    trace.misses.push_back(pool.stats().misses);
+    trace.output.push_back(out.size());
+  }
+  return trace;
+}
+
+// Captured before Solutions A and B shared one first-level implementation;
+// the shared code must reproduce it exactly. Rebuilds in the captured run:
+// one 1,055-segment subtree in A, the 8,192-segment root in B.
+constexpr uint64_t kGoldenSolutionAChurnPages = 321;
+constexpr uint64_t kGoldenSolutionAChurnMisses[] = {
+    13, 17, 16, 14, 15, 13, 15, 17, 16, 17,
+    11, 15, 14, 13, 15, 16, 12, 13, 14, 14};
+constexpr uint64_t kGoldenSolutionAChurnOutput[] = {
+    1, 0, 24, 0, 2, 1, 29, 1, 0, 0, 1, 42, 1, 1, 55, 0, 2, 1, 1, 0};
+constexpr uint64_t kGoldenSolutionBChurnPages = 402;
+constexpr uint64_t kGoldenSolutionBChurnMisses[] = {
+    16, 16, 17, 14, 17, 17, 14, 13, 6, 18,
+    17, 13, 14, 18, 15, 17, 17, 18, 18, 17};
+constexpr uint64_t kGoldenSolutionBChurnOutput[] = {
+    0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 107, 0, 0, 0, 1, 0, 0, 1};
+
+TEST(GoldenIoTest, SolutionAChurnMatchesGolden) {
+  uint64_t pages = 0;
+  const CostTrace trace =
+      MeasureChurn<core::TwoLevelBinaryIndex>(1005, 17, &pages);
+  if (PrintGoldenMode()) {
+    std::printf("constexpr uint64_t kGoldenSolutionAChurnPages = %llu;\n",
+                static_cast<unsigned long long>(pages));
+  }
+  CheckTrace(trace, "SolutionAChurn", ToVec(kGoldenSolutionAChurnMisses),
+             ToVec(kGoldenSolutionAChurnOutput));
+  if (!PrintGoldenMode()) {
+    EXPECT_EQ(pages, kGoldenSolutionAChurnPages);
+  }
+}
+
+TEST(GoldenIoTest, SolutionBChurnMatchesGolden) {
+  uint64_t pages = 0;
+  const CostTrace trace =
+      MeasureChurn<core::TwoLevelIntervalIndex>(1006, 19, &pages);
+  if (PrintGoldenMode()) {
+    std::printf("constexpr uint64_t kGoldenSolutionBChurnPages = %llu;\n",
+                static_cast<unsigned long long>(pages));
+  }
+  CheckTrace(trace, "SolutionBChurn", ToVec(kGoldenSolutionBChurnMisses),
+             ToVec(kGoldenSolutionBChurnOutput));
+  if (!PrintGoldenMode()) {
+    EXPECT_EQ(pages, kGoldenSolutionBChurnPages);
+  }
 }
 
 }  // namespace

@@ -55,8 +55,12 @@ std::vector<Segment> FilterLong(const std::vector<Segment>& segs,
   return out;
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and CTest
+// puts that dump into the discovered test names. `cascading` is uint32_t
+// rather than bool so the struct has no padding: indeterminate padding
+// bytes made the test names differ from one build to the next.
 struct GConfig {
-  bool cascading;
+  uint32_t cascading;
   uint32_t bridge_d;
   uint32_t page_size;
 };

@@ -20,6 +20,8 @@ segdb experiment records (BENCH_e3/e4/e14.json, top-level `records`):
   * top level has `hardware_threads` and a non-empty `records` list;
   * every record names its experiment/structure and has finite
     non-negative n/page_size/num_queries/avg_ios;
+  * max_ios (when present) is finite and not below avg_ios — a maximum
+    under the mean is a field that was never measured;
   * wall fields are optional (cold I/O-count rows omit them entirely —
     a literal `"wall_ns": 0` is rejected); when present, wall_ns and
     queries_per_sec must appear together, finite and positive;
@@ -110,6 +112,12 @@ def check_records(doc: dict, path: str, required, min_ratio,
         for key in ("n", "page_size", "num_queries", "avg_ios"):
             if not finite_nonneg(r.get(key)):
                 fail(f"{exp}: bad {key} {r.get(key)!r}")
+        if "max_ios" in r:
+            if not finite_nonneg(r["max_ios"]):
+                fail(f"{exp}: bad max_ios {r['max_ios']!r}")
+            if r["max_ios"] < r["avg_ios"]:
+                fail(f"{exp}: max_ios {r['max_ios']} < avg_ios "
+                     f"{r['avg_ios']}")
         check_record_wall(r, exp)
         names.append(exp)
         ratio = r.get("compression_ratio", 0)

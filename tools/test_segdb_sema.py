@@ -17,7 +17,8 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from segdb_sema import analyze_text, run  # noqa: E402
-from segdb_sema import cppast, model  # noqa: E402
+from segdb_sema import annotations, cppast, driver, iocost, model  # noqa: E402
+import segdb_lint  # noqa: E402
 from segdb_sema.lexer import lex  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -708,6 +709,30 @@ class RealTreeTest(unittest.TestCase):
     def test_repository_is_clean(self):
         findings = run(REPO_ROOT, frontend="pycpp")
         self.assertEqual([str(f) for f in findings], [])
+
+    def test_two_level_query_classes_are_derived_exactly(self):
+        # Theorems 1 and 2 as derived classes, not just ceilings: the
+        # clean-tree test accepts any derived set inside the annotation,
+        # so a Query that loses a term, or a Solution A body that reaches
+        # G's sqrt sweep under a widened annotation, would still pass it.
+        facts = annotations.Facts()
+        for rel in driver._collect(REPO_ROOT, None):
+            with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as fh:
+                text = fh.read()
+            annotations.harvest_file(
+                facts, rel, text, segdb_lint.strip_comments_and_strings(text))
+        deriver = iocost._Deriver(facts)
+        expected = {
+            "TwoLevelBinaryIndex::Query": {"log", "t/B"},
+            "TwoLevelIntervalIndex::Query": {"log", "sqrt", "t/B"},
+        }
+        derived = {}
+        for rel, ff in facts.files.items():
+            for fn in (ff.ast.functions if ff.ast is not None else []):
+                qual = annotations.func_qual(fn)
+                if qual in expected:
+                    derived[qual] = set(deriver.derive(rel, fn))
+        self.assertEqual(derived, expected)
 
     def test_registry_knows_pool_signatures(self):
         reg = model.Registry()

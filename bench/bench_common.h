@@ -12,7 +12,8 @@
 // Throughput protocol (the parallel sections of E3/E4): warm the pool by
 // running the batch once, then time repeated QueryEngine batches at a
 // fixed worker count — wall-clock ns and queries/sec, no eviction between
-// queries. Cold I/O counts and warm throughput are reported separately;
+// queries; the pool's misses over the timed passes are the record's
+// avg_ios. Cold I/O counts and warm throughput are reported separately;
 // one measures the model, the other the implementation.
 //
 // Every experiment binary accepts `--json <path>` (or `--json=<path>`) and
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -86,13 +88,16 @@ struct BatchThroughput {
   double wall_ns = 0;           // total wall time of the measured repeats
   double queries_per_sec = 0;
   uint64_t reported = 0;        // total segments reported (sanity check)
+  double avg_ios = 0;           // pool misses per query over the timed passes
 };
 
 // Warm-pool throughput of QueryEngine batches: one untimed warm-up pass,
-// then `repeats` timed passes over the whole batch.
+// then `repeats` timed passes over the whole batch. `pool` is the index's
+// pool; its miss counter over the timed passes gives avg_ios.
 inline BatchThroughput MeasureBatchThroughput(
     core::QueryEngine* engine, const core::SegmentIndex& index,
-    std::span<const workload::VsQuery> queries, int repeats) {
+    const io::BufferPool& pool, std::span<const workload::VsQuery> queries,
+    int repeats) {
   std::vector<core::VerticalSegmentQuery> batch;
   batch.reserve(queries.size());
   for (const workload::VsQuery& q : queries) {
@@ -101,6 +106,7 @@ inline BatchThroughput MeasureBatchThroughput(
   std::vector<std::vector<geom::Segment>> results;
   Check(engine->QueryBatch(index, batch, &results), "warm-up batch");
   BatchThroughput t;
+  const uint64_t misses_before = pool.stats().misses;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < repeats; ++r) {
     Check(engine->QueryBatch(index, batch, &results), "timed batch");
@@ -113,6 +119,11 @@ inline BatchThroughput MeasureBatchThroughput(
   const double total_queries =
       static_cast<double>(queries.size()) * static_cast<double>(repeats);
   if (t.wall_ns > 0) t.queries_per_sec = total_queries / (t.wall_ns * 1e-9);
+  if (total_queries > 0) {
+    t.avg_ios =
+        static_cast<double>(pool.stats().misses - misses_before) /
+        total_queries;
+  }
   return t;
 }
 
@@ -124,7 +135,8 @@ struct BenchRecord {
   uint32_t page_size = 0;  // block size in bytes (determines B)
   uint64_t num_queries = 0;
   double avg_ios = 0;
-  double max_ios = 0;
+  // Omitted from the JSON when unset: batch records measure only a mean.
+  std::optional<double> max_ios;
   double wall_ns = 0;
   double queries_per_sec = 0;
   uint32_t threads = 1;
@@ -206,11 +218,13 @@ class JsonWriter {
           f,
           "%s\n    {\"experiment\": \"%s\", \"structure\": \"%s\", "
           "\"n\": %llu, \"page_size\": %u, \"num_queries\": %llu, "
-          "\"avg_ios\": %.4f, \"max_ios\": %.1f, ",
+          "\"avg_ios\": %.4f, ",
           i == 0 ? "" : ",", r.experiment.c_str(), r.structure.c_str(),
           static_cast<unsigned long long>(r.n), r.page_size,
-          static_cast<unsigned long long>(r.num_queries), r.avg_ios,
-          r.max_ios);
+          static_cast<unsigned long long>(r.num_queries), r.avg_ios);
+      if (r.max_ios.has_value()) {
+        std::fprintf(f, "\"max_ios\": %.1f, ", *r.max_ios);
+      }
       // A record that measured no wall time (the cold I/O-count rows)
       // carries no wall fields at all — a literal 0 would read as "zero
       // nanoseconds measured", which tools/check_bench_json.py rejects.

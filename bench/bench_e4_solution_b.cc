@@ -85,7 +85,8 @@ void RunParallel(bench::JsonWriter* json, bool scaling) {
   double base_qps = 0;
   for (uint32_t threads : bench::ParallelThreadCounts(scaling)) {
     core::QueryEngine engine({.threads = threads});
-    const auto t = bench::MeasureBatchThroughput(&engine, index, queries, 8);
+    const auto t = bench::MeasureBatchThroughput(&engine, index, pool,
+                                                  queries, 8);
     if (threads == 1) base_qps = t.queries_per_sec;
     table.AddRow({TablePrinter::Fmt(uint64_t{threads}),
                   TablePrinter::Fmt(t.queries_per_sec, 0),
@@ -98,6 +99,7 @@ void RunParallel(bench::JsonWriter* json, bool scaling) {
     record.n = N;
     record.page_size = 4096;
     record.num_queries = queries.size() * 8;
+    record.avg_ios = t.avg_ios;
     record.wall_ns = t.wall_ns;
     record.queries_per_sec = t.queries_per_sec;
     record.threads = threads;

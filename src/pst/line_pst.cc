@@ -1,6 +1,7 @@
 #include "pst/line_pst.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -23,25 +24,21 @@ int64_t Reach(const geom::Segment& s) { return s.x2; }
 
 LinePst::LinePst(io::BufferPool* pool, int64_t base_x, Direction direction,
                  LinePstOptions options)
-    : pool_(pool),
-      base_x_(base_x),
-      direction_(direction),
-      imbalance_(options.imbalance) {
+    : pool_(pool), base_x_(base_x), direction_(direction) {
   const uint32_t page = pool_->page_size();
   if (options.fanout != 0) {
     fanout_ = std::max<uint32_t>(2, options.fanout);
   } else {
-    // Auto: balance directory size against segment payload (cap ~= 2m).
-    // Per-child overhead: PageId + child_size + top + sep = 92 bytes.
+    // Auto: about one child per 172 page bytes, 23 at 4 KiB. A child costs
+    // 60 directory bytes (id, size, reach, separator), so at 4 KiB the
+    // directory takes a third of the page and a node holds 107 records.
     fanout_ = std::max<uint32_t>(2, (page + 24) / 172);
   }
-  const uint32_t overhead = SegOff(0);
+  const uint32_t overhead = RegionOff();
   SEGDB_DCHECK(overhead < page) << "page too small for LinePst fanout";
-  const uint32_t auto_cap = io::ColumnarRegionCapacity(page - overhead);
-  cap_ = options.segments_per_node != 0
-             ? std::min(options.segments_per_node, auto_cap)
-             : auto_cap;
+  cap_ = io::ColumnarRegionCapacity(page - overhead);
   SEGDB_DCHECK(cap_ >= 2) << "page too small for LinePst node";
+  slack_ = std::min(kInsertSlack, cap_ / 4);
 }
 
 LinePst::~LinePst() { Clear().IgnoreError(); }
@@ -108,7 +105,7 @@ Status LinePst::CollectSubtree(io::PageId id,
     if (!ref.ok()) return ref.status();
     const io::Page& p = ref.value().page();
     const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-    const io::ConstColumnarPageView view(p, SegOff(0), cap_);
+    const io::ConstColumnarPageView view(p, RegionOff(), cap_);
     for (uint32_t i = 0; i < hdr.count; ++i) {
       out->push_back(view.Get(i));
     }
@@ -129,11 +126,12 @@ Status LinePst::CollectAll(std::vector<geom::Segment>* out) const {
   return Status::OK();
 }
 
-Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
-                                         geom::Segment* top) {
+Result<io::PageId> LinePst::BuildSubtree(std::span<const geom::Segment> segs,
+                                         int64_t* max_reach) {
   SEGDB_DCHECK(!segs.empty());
   const size_t n = segs.size();
-  const uint32_t take = static_cast<uint32_t>(std::min<size_t>(cap_, n));
+  const uint32_t fill = cap_ - slack_;
+  const uint32_t take = static_cast<uint32_t>(std::min<size_t>(fill, n));
 
   // Pick the `take` segments with the largest reach.
   std::vector<uint32_t> by_reach(n);
@@ -152,21 +150,19 @@ Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
   std::vector<geom::Segment> rest;
   node_segs.reserve(take);
   rest.reserve(n - take);
-  int64_t max_reach = segs[0].x2;
   for (size_t i = 0; i < n; ++i) {
-    max_reach = std::max(max_reach, Reach(segs[i]));
     if (stored[i]) {
       node_segs.push_back(segs[i]);
     } else {
       rest.push_back(segs[i]);
     }
   }
-  // The subtree's top segment: maximum reach lives in this node by
-  // construction.
-  *top = *std::max_element(node_segs.begin(), node_segs.end(),
-                           [](const geom::Segment& a, const geom::Segment& b) {
-                             return Reach(a) < Reach(b);
-                           });
+  // The maximum reach lives in this node by construction.
+  *max_reach = Reach(*std::max_element(
+      node_segs.begin(), node_segs.end(),
+      [](const geom::Segment& a, const geom::Segment& b) {
+        return Reach(a) < Reach(b);
+      }));
 
   auto ref = pool_->NewPage();
   if (!ref.ok()) return ref.status();
@@ -174,14 +170,13 @@ Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
   const io::PageId id = ref.value().page_id();
   io::Page& p = ref.value().page();
 
-  // Children: >= 2 whenever the remainder does not fit one node, so the
-  // tree height stays logarithmic.
-  uint32_t k = 0;
-  if (!rest.empty()) {
-    k = static_cast<uint32_t>(std::min<uint64_t>(
-        {fanout_, rest.size(),
-         std::max<uint64_t>(2, CeilDiv(rest.size(), cap_))}));
-  }
+  // Page allotment: the rest needs `pages` full nodes. Each of the k
+  // children gets floor or ceil(pages / k) nodes' worth of records and the
+  // last child the remainder, so every node below is full to `fill` except
+  // on the rightmost path.
+  const uint64_t pages = CeilDiv(rest.size(), fill);
+  const uint32_t k =
+      static_cast<uint32_t>(std::min<uint64_t>(fanout_, pages));
 
   // The header goes to disk with num_children == 0 until every child has
   // been built: a build that faults mid-way unwinds by freeing the
@@ -192,7 +187,7 @@ Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
   hdr.num_children = 0;
   hdr.subtree_size = n;
   p.WriteAt<NodeHeader>(0, hdr);
-  io::ColumnarPageView(&p, SegOff(0), cap_)
+  io::ColumnarPageView(&p, RegionOff(), cap_)
       .WriteRange(0, node_segs.data(), take);
   ref.value().MarkDirty();
   // Children allocate pages below; drop the pin at scope exit first.
@@ -201,8 +196,7 @@ Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
   if (k > 0) {
     std::vector<io::PageId> child_ids;
     std::vector<uint64_t> child_sizes(k);
-    std::vector<geom::Segment> tops(k);
-    std::vector<geom::Segment> seps;
+    std::vector<int64_t> reaches(k);
     child_ids.reserve(k);
     const auto unwind = [&](const Status& cause) {
       for (io::PageId c : child_ids) FreeSubtree(c).IgnoreError();
@@ -210,30 +204,29 @@ Result<io::PageId> LinePst::BuildSubtree(std::vector<geom::Segment> segs,
       --page_count_;
       return cause;
     };
-    const size_t q = rest.size() / k;
-    const size_t r = rest.size() % k;
     size_t begin = 0;
     for (uint32_t i = 0; i < k; ++i) {
-      const size_t len = q + (i < r ? 1 : 0);
-      std::vector<geom::Segment> chunk(rest.begin() + begin,
-                                       rest.begin() + begin + len);
-      if (i > 0) seps.push_back(chunk.front());
-      geom::Segment child_top;
-      Result<io::PageId> child = BuildSubtree(std::move(chunk), &child_top);
+      const uint64_t child_pages = pages / k + (i < pages % k ? 1 : 0);
+      const size_t len = i + 1 == k ? rest.size() - begin
+                                    : static_cast<size_t>(child_pages * fill);
+      Result<io::PageId> child = BuildSubtree(
+          std::span<const geom::Segment>(rest).subspan(begin, len),
+          &reaches[i]);
       if (!child.ok()) return unwind(child.status());
       child_ids.push_back(child.value());
       child_sizes[i] = len;
-      tops[i] = child_top;
       begin += len;
     }
     auto wref = pool_->Fetch(id);
     if (!wref.ok()) return unwind(wref.status());
     io::Page& wp = wref.value().page();
+    begin = 0;
     for (uint32_t i = 0; i < k; ++i) {
       wp.WriteAt<io::PageId>(ChildOff(i), child_ids[i]);
       wp.WriteAt<uint64_t>(ChildSizeOff(i), child_sizes[i]);
-      wp.WriteAt<geom::Segment>(TopOff(i), tops[i]);
-      if (i > 0) wp.WriteAt<geom::Segment>(SepOff(i - 1), seps[i - 1]);
+      wp.WriteAt<int64_t>(ReachOff(i), reaches[i]);
+      if (i > 0) wp.WriteAt<geom::Segment>(SepOff(i - 1), rest[begin]);
+      begin += child_sizes[i];
     }
     hdr.num_children = k;
     wp.WriteAt<NodeHeader>(0, hdr);
@@ -260,8 +253,8 @@ Status LinePst::BulkLoad(std::span<const geom::Segment> segments) {
             });
   io::PageId new_root = io::kInvalidPageId;
   if (!canonical.empty()) {
-    geom::Segment top;
-    Result<io::PageId> root = BuildSubtree(std::move(canonical), &top);
+    int64_t reach = 0;
+    Result<io::PageId> root = BuildSubtree(canonical, &reach);
     if (!root.ok()) return root.status();
     new_root = root.value();
   }
@@ -299,8 +292,8 @@ Status LinePst::RebuildAll() {
               [&](const geom::Segment& a, const geom::Segment& b) {
                 return BaseCompare(a, b) < 0;
               });
-    geom::Segment top;
-    Result<io::PageId> root = BuildSubtree(std::move(all), &top);
+    int64_t reach = 0;
+    Result<io::PageId> root = BuildSubtree(all, &reach);
     if (!root.ok()) return root.status();
     new_root = root.value();
   }
@@ -337,7 +330,7 @@ Status LinePst::Erase(const geom::Segment& segment) {
     if (!ref.ok()) return ref.status();
     const io::Page& p = ref.value().page();
     const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-    const io::ConstColumnarPageView view(p, SegOff(0), cap_);
+    const io::ConstColumnarPageView view(p, RegionOff(), cap_);
     // Binary search the node's base-ordered array for the exact segment.
     uint32_t lo = 0, hi = hdr.count;
     while (lo < hi) {
@@ -382,7 +375,7 @@ Status LinePst::Erase(const geom::Segment& segment) {
     --hdr.subtree_size;
     if (path[i].node == found_node) {
       std::vector<geom::Segment> segs(hdr.count);
-      io::ColumnarPageView view(&p, SegOff(0), cap_);
+      io::ColumnarPageView view(&p, RegionOff(), cap_);
       view.ReadRange(0, segs.data(), hdr.count);
       segs.erase(segs.begin() + found_slot);
       --hdr.count;
@@ -431,7 +424,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
     hdr.num_children = 0;
     hdr.subtree_size = 1;
     p.WriteAt<NodeHeader>(0, hdr);
-    io::ColumnarPageView(&p, SegOff(0), cap_).Set(0, g);
+    io::ColumnarPageView(&p, RegionOff(), cap_).Set(0, g);
     ref.value().MarkDirty();
     root_ = ref.value().page_id();
     ++size_;
@@ -446,7 +439,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
   const auto apply_swap = [&](io::Page* p, const NodeHeader& hdr,
                               geom::Segment* carry) {
     std::vector<geom::Segment> segs(hdr.count);
-    io::ColumnarPageView view(p, SegOff(0), cap_);
+    io::ColumnarPageView view(p, RegionOff(), cap_);
     view.ReadRange(0, segs.data(), hdr.count);
     uint32_t min_idx = 0;
     for (uint32_t i = 1; i < hdr.count; ++i) {
@@ -494,7 +487,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
         }
         const double share =
             static_cast<double>(below) / static_cast<double>(hdr.num_children);
-        const double limit = cap_ + imbalance_ * share;
+        const double limit = cap_ + kImbalance * share;
         if (below >= 2 * static_cast<uint64_t>(cap_) &&
             static_cast<double>(max_child) > limit) {
           action = Action::kRebuild;
@@ -507,7 +500,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
       }
       // Full node: compute the displaced value without writing it.
       std::vector<geom::Segment> segs(hdr.count);
-      io::ConstColumnarPageView(p, SegOff(0), cap_)
+      io::ConstColumnarPageView(p, RegionOff(), cap_)
           .ReadRange(0, segs.data(), hdr.count);
       uint32_t min_idx = 0;
       for (uint32_t i = 1; i < hdr.count; ++i) {
@@ -542,8 +535,8 @@ Status LinePst::InsertCanonical(geom::Segment g) {
     std::sort(all.begin(), all.end(), base_less);
     // Build the replacement before freeing the old subtree or touching any
     // ancestor: a faulted build unwinds itself and the insert is a no-op.
-    geom::Segment top;
-    Result<io::PageId> rebuilt = BuildSubtree(std::move(all), &top);
+    int64_t reach = 0;
+    Result<io::PageId> rebuilt = BuildSubtree(all, &reach);
     if (!rebuilt.ok()) return rebuilt.status();
     SEGDB_RETURN_IF_ERROR(FreeSubtree(target));
     // Ancestor bookkeeping and displacement swaps, root to parent. Every
@@ -560,8 +553,9 @@ Status LinePst::InsertCanonical(geom::Segment g) {
       const uint32_t j = slots[d];
       p.WriteAt<uint64_t>(ChildSizeOff(j),
                           p.ReadAt<uint64_t>(ChildSizeOff(j)) + 1);
-      const geom::Segment jtop = p.ReadAt<geom::Segment>(TopOff(j));
-      if (Reach(carry) > Reach(jtop)) p.WriteAt<geom::Segment>(TopOff(j), carry);
+      if (Reach(carry) > p.ReadAt<int64_t>(ReachOff(j))) {
+        p.WriteAt<int64_t>(ReachOff(j), Reach(carry));
+      }
       ref.value().MarkDirty();
     }
     if (path.size() == 1) {
@@ -572,7 +566,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
       io::Page& pp = pref.value().page();
       const uint32_t pslot = slots[path.size() - 2];
       pp.WriteAt<io::PageId>(ChildOff(pslot), rebuilt.value());
-      pp.WriteAt<geom::Segment>(TopOff(pslot), top);
+      pp.WriteAt<int64_t>(ReachOff(pslot), reach);
       pref.value().MarkDirty();
     }
     ++size_;
@@ -593,7 +587,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
     chdr.num_children = 0;
     chdr.subtree_size = 1;
     cp.WriteAt<NodeHeader>(0, chdr);
-    io::ColumnarPageView(&cp, SegOff(0), cap_).Set(0, probe);
+    io::ColumnarPageView(&cp, RegionOff(), cap_).Set(0, probe);
     cref.value().MarkDirty();
     fresh_child = cref.value().page_id();
   }
@@ -612,7 +606,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
       if (action == Action::kInsertHere) {
         SEGDB_DCHECK(hdr.count < cap_);
         std::vector<geom::Segment> segs(hdr.count);
-        io::ColumnarPageView view(&p, SegOff(0), cap_);
+        io::ColumnarPageView view(&p, RegionOff(), cap_);
         view.ReadRange(0, segs.data(), hdr.count);
         segs.insert(
             std::lower_bound(segs.begin(), segs.end(), carry, base_less),
@@ -627,7 +621,7 @@ Status LinePst::InsertCanonical(geom::Segment g) {
         p.WriteAt<NodeHeader>(0, hdr);
         p.WriteAt<io::PageId>(ChildOff(0), fresh_child);
         p.WriteAt<uint64_t>(ChildSizeOff(0), 1);
-        p.WriteAt<geom::Segment>(TopOff(0), carry);
+        p.WriteAt<int64_t>(ReachOff(0), Reach(carry));
       }
       ++size_;
       return Status::OK();
@@ -638,9 +632,8 @@ Status LinePst::InsertCanonical(geom::Segment g) {
     const uint32_t j = slots[d];
     p.WriteAt<uint64_t>(ChildSizeOff(j),
                         p.ReadAt<uint64_t>(ChildSizeOff(j)) + 1);
-    const geom::Segment jtop = p.ReadAt<geom::Segment>(TopOff(j));
-    if (Reach(carry) > Reach(jtop)) {
-      p.WriteAt<geom::Segment>(TopOff(j), carry);
+    if (Reach(carry) > p.ReadAt<int64_t>(ReachOff(j))) {
+      p.WriteAt<int64_t>(ReachOff(j), Reach(carry));
     }
   }
   return Status::Internal("InsertCanonical: fell off the apply walk");
@@ -655,6 +648,17 @@ struct QueryState {
   bool have_lf = false, have_rf = false;
   geom::Segment lf{}, rf{};
 };
+
+// A node the Find walks scanned, and where its in-range hits sit in the
+// walks' hit buffer.
+struct WalkScan {
+  io::PageId id;
+  uint32_t begin, end;
+};
+
+// Two root-to-leaf walks scan at most 2 * height nodes. In a deeper tree
+// Report re-scans the walk nodes past this many.
+constexpr uint32_t kMaxWalkScans = 64;
 
 }  // namespace
 
@@ -677,16 +681,17 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
   // "Reach(s) < cqx" skip; below/in-range/above reproduce the CompareYAtX
   // signs (filter_kernel.h). Below/above lanes tighten the fences with the
   // same BaseCompare max/min as before; in-range lanes are bulk-gathered
-  // when reporting instead of being push_back-ed one at a time.
+  // into *hits (when given) instead of being push_back-ed one at a time.
   auto scan_node = [&](const io::Page& p, const NodeHeader& hdr,
-                       bool report) {
-    const io::ConstColumnarPageView view(p, SegOff(0), cap_);
+                       std::vector<geom::Segment>* hits) {
+    const io::ConstColumnarPageView view(p, RegionOff(), cap_);
     geom::ResultBuffer& scratch = geom::GetThreadFilterScratch();
     uint8_t* cls = scratch.ReserveClasses(hdr.count);
     geom::ActiveFilterKernel().classify_vs(view.strips(), hdr.count, cqx,
                                            ylo, yhi, cls);
-    uint32_t* idx = report ? scratch.ReserveIndices(hdr.count) : nullptr;
-    uint32_t hits = 0;
+    uint32_t* idx = hits != nullptr ? scratch.ReserveIndices(hdr.count)
+                                    : nullptr;
+    uint32_t num_hits = 0;
     for (uint32_t i = 0; i < hdr.count; ++i) {
       switch (cls[i]) {
         case geom::kLaneBelow: {
@@ -706,28 +711,42 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
           break;
         }
         case geom::kLaneInRange:
-          if (report) idx[hits++] = i;
+          if (hits != nullptr) idx[num_hits++] = i;
           break;
         default:
           break;
       }
     }
-    if (report && hits > 0) {
-      const size_t first = out->size();
-      view.AppendMatches(idx, hits, out);
+    if (num_hits > 0) {
+      const size_t first = hits->size();
+      view.AppendMatches(idx, num_hits, hits);
       if (direction_ == Direction::kLeft) {
-        for (size_t j = first; j < out->size(); ++j) {
-          (*out)[j] = Original((*out)[j]);
+        for (size_t j = first; j < hits->size(); ++j) {
+          (*hits)[j] = Original((*hits)[j]);
         }
       }
     }
+  };
+  // Each node is scanned once per query. The walks keep the in-range hits
+  // of every node they scan; the second walk skips the nodes the first one
+  // scanned, and Report appends the kept hits. Fence updates are monotone
+  // max/min, so skipping a repeat scan changes no fence, answer, order or
+  // fetch.
+  std::array<WalkScan, kMaxWalkScans> walk_scans{};
+  uint32_t num_walk_scans = 0;
+  std::vector<geom::Segment> walk_hits;
+  auto find_walk_scan = [&](io::PageId id) -> const WalkScan* {
+    for (uint32_t i = 0; i < num_walk_scans; ++i) {
+      if (walk_scans[i].id == id) return &walk_scans[i];
+    }
+    return nullptr;
   };
   // Prune test shared by every traversal: may child i of this page hold a
   // segment that is neither fence-dominated nor unreachable?
   auto child_admissible = [&](const io::Page& p, const NodeHeader& hdr,
                               uint32_t i) {
-    const geom::Segment top = p.ReadAt<geom::Segment>(TopOff(i));
-    if (Reach(top) < cqx) return false;  // nothing below reaches the query
+    // Nothing below reaches the query.
+    if (p.ReadAt<int64_t>(ReachOff(i)) < cqx) return false;
     if (st.have_lf && i + 1 < hdr.num_children) {
       // Child i's contents precede sep[i] in base order; at or before the
       // left fence means everything reaching passes below the range.
@@ -756,7 +775,16 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
       if (!ref.ok()) return ref.status();
       const io::Page& p = ref.value().page();
       const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-      scan_node(p, hdr, /*report=*/false);
+      if (find_walk_scan(cur) == nullptr) {
+        if (num_walk_scans < kMaxWalkScans) {
+          const auto begin = static_cast<uint32_t>(walk_hits.size());
+          scan_node(p, hdr, &walk_hits);
+          walk_scans[num_walk_scans++] = WalkScan{
+              cur, begin, static_cast<uint32_t>(walk_hits.size())};
+        } else {
+          scan_node(p, hdr, nullptr);
+        }
+      }
       // Descend toward the answer run's boundary. Separators are real
       // segments: whenever one reaches the query abscissa its side of the
       // range is decidable exactly; otherwise the current fence decides.
@@ -816,7 +844,12 @@ Status LinePst::Query(int64_t qx, int64_t ylo, int64_t yhi,
     if (!ref.ok()) return ref.status();
     const io::Page& p = ref.value().page();
     const NodeHeader hdr = p.ReadAt<NodeHeader>(0);
-    scan_node(p, hdr, /*report=*/true);
+    if (const WalkScan* w = find_walk_scan(id)) {
+      out->insert(out->end(), walk_hits.begin() + w->begin,
+                  walk_hits.begin() + w->end);
+    } else {
+      scan_node(p, hdr, out);
+    }
     for (uint32_t i = hdr.num_children; i > 0; --i) {
       if (child_admissible(p, hdr, i - 1)) {
         stack.push_back(p.ReadAt<io::PageId>(ChildOff(i - 1)));
@@ -840,14 +873,14 @@ Status LinePst::CheckSubtree(io::PageId id, const geom::Segment* lo,
   }
 
   std::vector<geom::Segment> segs(hdr.count);
-  io::ConstColumnarPageView(p, SegOff(0), cap_)
+  io::ConstColumnarPageView(p, RegionOff(), cap_)
       .ReadRange(0, segs.data(), hdr.count);
   for (uint32_t i = 0; i < hdr.count; ++i) {
     if (i > 0 && BaseCompare(segs[i - 1], segs[i]) > 0) {
       return Status::Corruption("PST node segments out of base order");
     }
     if (Reach(segs[i]) > max_reach) {
-      return Status::Corruption("segment out-reaches ancestor top copy");
+      return Status::Corruption("segment out-reaches its parent's child reach");
     }
     if (lo != nullptr && BaseCompare(segs[i], *lo) < 0) {
       return Status::Corruption("segment below subtree separator bound");
@@ -860,7 +893,6 @@ Status LinePst::CheckSubtree(io::PageId id, const geom::Segment* lo,
   uint64_t total = hdr.count;
   for (uint32_t i = 0; i < hdr.num_children; ++i) {
     const io::PageId child = p.ReadAt<io::PageId>(ChildOff(i));
-    const geom::Segment top = p.ReadAt<geom::Segment>(TopOff(i));
     geom::Segment lo_sep, hi_sep;
     const geom::Segment* clo = lo;
     const geom::Segment* chi = hi;
@@ -874,7 +906,8 @@ Status LinePst::CheckSubtree(io::PageId id, const geom::Segment* lo,
     }
     uint64_t child_total = 0;
     SEGDB_RETURN_IF_ERROR(
-        CheckSubtree(child, clo, chi, Reach(top), &child_total));
+        CheckSubtree(child, clo, chi, p.ReadAt<int64_t>(ReachOff(i)),
+                     &child_total));
     if (child_total != p.ReadAt<uint64_t>(ChildSizeOff(i))) {
       return Status::Corruption("stale child_size bookkeeping");
     }

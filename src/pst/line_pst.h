@@ -13,7 +13,7 @@
 // vertical segment x = qx, ylo <= y <= yhi with qx in the stored
 // half-plane.
 //
-// Shape: each node (one disk page) stores the `cap` segments of its
+// Shape: each node (one disk page) stores up to `cap` segments of its
 // subtree with the largest reach (max |x|-extent from the base line, the
 // PST heap key) ordered by their intersection with the base line, plus up
 // to `fanout` children that partition the remaining segments by base
@@ -23,15 +23,23 @@
 // realizes the query bound the paper obtains via P-range trees (Lemma 3) —
 // see DESIGN.md for the substitution note.
 //
+// Space: the bulk build fills every node to cap - insert_slack() records
+// except the last node of the rightmost path, so a loaded tree of n
+// segments takes exactly ceil(n / (cap - insert_slack())) pages (Lemma 2's
+// O(n/B) blocks at fill >= (cap - slack) / cap). The slack is the room the
+// semi-dynamic push-down inserts into before it opens a page.
+//
 // Query algorithm (reconstruction of the paper's Find/Report; the appendix
 // text is OCR-garbled — see DESIGN.md §8): NCT segments that both reach
 // abscissa qx keep their base-line order at qx, so the answer is contiguous
 // in base order among reaching segments. The traversal prunes a subtree
-// when (a) its maximum reach (the parent's copy of the child's top segment)
-// does not attain qx, or (b) a *fence* — a scanned segment proven to pass
+// when (a) its maximum reach (kept in the parent's directory) does not
+// attain qx, or (b) a *fence* — a scanned segment proven to pass
 // entirely below/above the query range — base-order-dominates the
 // subtree's separator interval. At most the two boundary subtrees per
 // level stay undecided, matching the paper's two-nodes-per-level queue.
+// Every node is classified once per query: the Report traversal reuses the
+// in-range hits of the nodes the two walks already scanned.
 //
 // Insertions (semi-dynamic case, Lemma 3(iii)): heap push-down with
 // BB[alpha]-style partial rebuilding of unbalanced subtrees, amortizing to
@@ -57,12 +65,6 @@ struct LinePstOptions {
   // (the "packed" mode, Lemma 3). Use 2 for the paper's binary PST
   // (Lemma 2).
   uint32_t fanout = 0;
-  // Segments stored per node. 0 = auto from the page size.
-  uint32_t segments_per_node = 0;
-  // Partial-rebuild trigger: a child subtree may grow to
-  // (imbalance * ideal share + node capacity) before its parent subtree is
-  // rebuilt.
-  double imbalance = 2.0;
 };
 
 class LinePst {
@@ -83,6 +85,8 @@ class LinePst {
   uint64_t page_count() const { return page_count_; }
   uint32_t fanout() const { return fanout_; }
   uint32_t node_capacity() const { return cap_; }
+  // Records per node the bulk build leaves free for inserts.
+  uint32_t insert_slack() const { return slack_; }
 
   // Replaces the contents. O(n) pages, packed nodes.
   Status BulkLoad(std::span<const geom::Segment> segments);
@@ -91,7 +95,7 @@ class LinePst {
   Status Insert(const geom::Segment& segment);
 
   // Deletion (the other half of the paper's update operation). Removing a
-  // record never invalidates the pruning metadata — child "top" copies
+  // record never invalidates the pruning metadata — child reaches
   // remain upper bounds and separators remain order pivots — so deletion
   // is a descent plus local removal; a whole-tree repack triggers once
   // half the records are gone, amortizing to the insert bound.
@@ -125,36 +129,45 @@ class LinePst {
   static constexpr uint32_t kHeaderBytes = 16;
   static_assert(sizeof(NodeHeader) == kHeaderBytes);
 
+  // Free records per bulk-built node (at most a quarter of the node on
+  // small pages). On segbench read_cold seed 501 (4 KiB pages, 107 records
+  // a node), building without slack made 1,440 of the run's 4,118 PST
+  // inserts open a fresh page and raised write_bytes_per_mutation from
+  // 29,058 to 34,984 (+20 %); with a slack of 8 no insert opened a page.
+  static constexpr uint32_t kInsertSlack = 8;
+  // Partial-rebuild trigger: a child subtree may grow to
+  // (kImbalance * its even share + one node) before its parent subtree is
+  // repacked. At 2, a repacked subtree of m records takes at least
+  // m / fanout inserts before it trips again, and repacking writes about
+  // m / cap pages: O(1) page writes per insert per level at fanout ~ cap.
+  static constexpr double kImbalance = 2.0;
+
   // Page layout: [NodeHeader][PageId child x fanout][u64 child_size x fanout]
-  //              [Segment top x fanout][Segment sep x (fanout-1)]
+  //              [i64 child_reach x fanout][Segment sep x (fanout-1)]
   //              [columnar seg strips x cap]
   // child_size mirrors each child's subtree_size so the insert path can
-  // detect imbalance top-down without fetching children.
+  // detect imbalance top-down without fetching children; child_reach is an
+  // upper bound on the reach of every segment in the child's subtree, the
+  // only thing query, insert and audit need of the child's top segment.
   //
-  // The directory records (tops, separators) stay row-major — they are
-  // individually random-accessed while routing. The stored-segment region
-  // at SegOff(0) holds io::ColumnarPageView strips (x1/x2/y1/y2/id lanes
-  // of cap each, same total bytes as Segment[cap]) so the query's node
-  // scan runs as one branchless kernel pass; always access it through a
-  // view constructed with capacity cap_, never via SegOff(i) for i > 0.
+  // The separators stay row-major — they are individually random-accessed
+  // while routing. The stored-segment region at RegionOff() holds
+  // io::ColumnarPageView strips (x1/x2/y1/y2/id lanes of cap each) so the
+  // query's node scan runs as one branchless kernel pass; always access it
+  // through a view constructed with capacity cap_.
   uint32_t ChildOff(uint32_t i) const {
     return kHeaderBytes + i * sizeof(io::PageId);
   }
   uint32_t ChildSizeOff(uint32_t i) const {
-    return kHeaderBytes + fanout_ * sizeof(io::PageId) +
-           i * sizeof(uint64_t);
+    return ChildOff(fanout_) + i * sizeof(uint64_t);
   }
-  uint32_t TopOff(uint32_t i) const {
-    return ChildSizeOff(fanout_) +
-           i * static_cast<uint32_t>(sizeof(geom::Segment));
+  uint32_t ReachOff(uint32_t i) const {
+    return ChildSizeOff(fanout_) + i * sizeof(int64_t);
   }
   uint32_t SepOff(uint32_t i) const {
-    return TopOff(fanout_) + i * static_cast<uint32_t>(sizeof(geom::Segment));
+    return ReachOff(fanout_) + i * static_cast<uint32_t>(sizeof(geom::Segment));
   }
-  uint32_t SegOff(uint32_t i) const {
-    return SepOff(fanout_ - 1) +
-           i * static_cast<uint32_t>(sizeof(geom::Segment));
-  }
+  uint32_t RegionOff() const { return SepOff(fanout_ - 1); }
 
   // Canonical-frame helpers (segments are stored mirrored for kLeft so the
   // whole structure reasons about right-extending segments only).
@@ -167,9 +180,9 @@ class LinePst {
   Status ValidateInput(const geom::Segment& canonical) const;
 
   // Recursive packed build over `segs` (base-ordered). Returns the new
-  // subtree root and writes the subtree's top segment to *top.
-  Result<io::PageId> BuildSubtree(std::vector<geom::Segment> segs,
-                                  geom::Segment* top);
+  // subtree root and writes the subtree's maximum reach to *max_reach.
+  Result<io::PageId> BuildSubtree(std::span<const geom::Segment> segs,
+                                  int64_t* max_reach);
 
   Status FreeSubtree(io::PageId id);
   Status CollectSubtree(io::PageId id, std::vector<geom::Segment>* out) const;
@@ -184,9 +197,9 @@ class LinePst {
   io::BufferPool* pool_;
   const int64_t base_x_;
   const Direction direction_;
-  const double imbalance_;
   uint32_t fanout_ = 0;
   uint32_t cap_ = 0;
+  uint32_t slack_ = 0;
   io::PageId root_ = io::kInvalidPageId;
   uint64_t size_ = 0;
   uint64_t page_count_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "geom/nct.h"
@@ -11,6 +12,7 @@
 #include "io/buffer_pool.h"
 #include "io/disk_manager.h"
 #include "pst/line_pst.h"
+#include "util/math.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -245,10 +247,53 @@ TEST_P(LinePstTest, SpaceIsLinear) {
   auto segs = workload::GenLineBasedSorted(rng, 3000, 0, 5000);
   LinePst pst(&pool_, 0, Direction::kRight, Opts());
   ASSERT_TRUE(pst.BulkLoad(segs).ok());
-  // Packed build: pages <= ~2x the information-theoretic minimum plus the
-  // directory overhead.
-  const uint64_t min_pages = 1 + 3000 / pst.node_capacity();
-  EXPECT_LE(pst.page_count(), 3 * min_pages + 2);
+  // Packed build: every node holds cap - slack records except on the
+  // rightmost path, which has at most one partial node per level.
+  const uint64_t fill = pst.node_capacity() - pst.insert_slack();
+  const uint64_t packed = CeilDiv(3000, fill);
+  uint64_t height = 0;
+  for (uint64_t t = packed; t > 0; t = CeilDiv(t - 1, pst.fanout())) {
+    ++height;
+  }
+  EXPECT_LE(pst.page_count(), packed + height);
+}
+
+TEST_P(LinePstTest, InsertSlackDefersNewPages) {
+  // Horizontal segments never cross. The loaded ones reach >= 100; the
+  // inserted ones reach 1 and lie below all of them in base order, so each
+  // insert routes down the leftmost path and stays in the first node on it
+  // that has room.
+  const auto horizontal = [](int64_t y, int64_t reach, uint64_t id) {
+    return Segment::Make({0, y}, {reach, y}, id);
+  };
+  LinePst probe(&pool_, 0, Direction::kRight, Opts());
+  const uint64_t fill = probe.node_capacity() - probe.insert_slack();
+  ASSERT_GT(probe.insert_slack(), 0u);
+  // One node; then a root over `fanout` children of two nodes each, every
+  // node full to `fill`, with the leftmost path three nodes deep.
+  const uint64_t two_level = 1 + 2 * uint64_t{probe.fanout()};
+  for (const auto& [nodes, depth] :
+       {std::pair<uint64_t, uint64_t>{1, 1}, {two_level, 3}}) {
+    LinePst pst(&pool_, 0, Direction::kRight, Opts());
+    std::vector<Segment> segs;
+    for (uint64_t i = 0; i < nodes * fill; ++i) {
+      segs.push_back(horizontal(10 * static_cast<int64_t>(i),
+                                100 + static_cast<int64_t>(i % 50), i));
+    }
+    ASSERT_TRUE(pst.BulkLoad(segs).ok());
+    ASSERT_EQ(pst.page_count(), nodes);
+    uint64_t id = 1 << 20;
+    for (uint64_t i = 0; i < depth * pst.insert_slack(); ++i) {
+      ASSERT_TRUE(
+          pst.Insert(horizontal(-1 - static_cast<int64_t>(id), 1, id)).ok());
+      ++id;
+    }
+    EXPECT_EQ(pst.page_count(), nodes) << "slack did not absorb the inserts";
+    ASSERT_TRUE(
+        pst.Insert(horizontal(-1 - static_cast<int64_t>(id), 1, id)).ok());
+    EXPECT_EQ(pst.page_count(), nodes + 1);
+    ASSERT_TRUE(pst.CheckInvariants().ok());
+  }
 }
 
 TEST_P(LinePstTest, RayAndLineQueries) {

@@ -4,8 +4,7 @@
 // evict everything (cold cache), reset counters, run one query, read the
 // miss counter — misses are exactly the I/O operations of the paper's cost
 // model, and stay exact under the sharded pool (per-shard counters sum to
-// the serial trace) and under read-ahead (staged pages are charged on
-// first demand fetch). Each experiment averages over a query batch and
+// the serial trace). Each experiment averages over a query batch and
 // prints one table row per parameter point; EXPERIMENTS.md records the
 // expected shapes.
 //
@@ -146,27 +145,10 @@ struct BenchRecord {
   // Compressed-tier promotions observed during the measured section
   // (nonzero only for the *-tier experiments).
   uint64_t compressed_hits = 0;
-  // Serving/device telemetry (the E14 records). Zero or empty fields are
-  // OMITTED from the JSON — same rule as wall_ns/queries_per_sec on cold
-  // records, so a record only carries the measurements it actually made.
-  double p50_ns = 0;  // per-request latency percentiles (Serve calls)
-  double p95_ns = 0;
-  double p99_ns = 0;
-  uint64_t queue_depth = 0;  // peak queue/in-flight depth during the run
-  std::string io_backend;    // async engine name: "uring"|"threads"|"sync"
-  double io_speedup = 0;     // batched over one-syscall-per-page wall time
+  // Device the record ran on ("sim"|"file"); empty is OMITTED from the
+  // JSON, same rule as wall_ns/queries_per_sec on cold records.
+  std::string io_backend;
 };
-
-// p-th percentile (0..100) by nearest-rank over a copy of `samples`.
-inline double PercentileNs(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
 
 // Process-wide codec compression ratio so far (0 until something encoded).
 inline double CodecCompressionRatio() {
@@ -232,20 +214,8 @@ class JsonWriter {
         std::fprintf(f, "\"wall_ns\": %.0f, \"queries_per_sec\": %.2f, ",
                      r.wall_ns, r.queries_per_sec);
       }
-      if (r.p99_ns > 0) {
-        std::fprintf(f,
-                     "\"p50_ns\": %.0f, \"p95_ns\": %.0f, \"p99_ns\": %.0f, ",
-                     r.p50_ns, r.p95_ns, r.p99_ns);
-      }
-      if (r.queue_depth > 0) {
-        std::fprintf(f, "\"queue_depth\": %llu, ",
-                     static_cast<unsigned long long>(r.queue_depth));
-      }
       if (!r.io_backend.empty()) {
         std::fprintf(f, "\"io_backend\": \"%s\", ", r.io_backend.c_str());
-      }
-      if (r.io_speedup > 0) {
-        std::fprintf(f, "\"io_speedup\": %.3f, ", r.io_speedup);
       }
       std::fprintf(
           f,

@@ -22,11 +22,15 @@
 // checking (tests/crash_recovery_fuzz_test.cc).
 //
 // Concurrency contract: mutations are single-writer (like every index in
-// src/core); Query is safe from any number of threads concurrently with
-// one mutator. Post-commit writeback failures are absorbed — the dirty
-// pages simply ride along into the next commit's image set — but a WAL
-// commit failure poisons the engine (the log may be part-written, which is
-// exactly a crash: recover, don't retry).
+// src/core). Query is safe from any number of threads, beside other
+// queries and beside BulkLoad, which builds aside and swaps epochs
+// (tests/epoch_test.cc). Query must NOT run beside Insert or Erase: they
+// mutate the published index in place and reach BufferPool::NewPage /
+// MarkDirty, which require quiescence (buffer_pool.h, query_engine.h).
+// Post-commit writeback failures are absorbed — the dirty pages simply
+// ride along into the next commit's image set — but a WAL commit failure
+// poisons the engine (the log may be part-written, which is exactly a
+// crash: recover, don't retry).
 #ifndef SEGDB_CORE_DURABLE_ENGINE_H_
 #define SEGDB_CORE_DURABLE_ENGINE_H_
 

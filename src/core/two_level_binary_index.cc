@@ -34,7 +34,6 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
   SEGDB_IO_BOUND("log", "t/B");
   if (q.ylo > q.yhi) return Status::InvalidArgument("ylo > yhi");
   int32_t cur = root_;
-  std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     {
@@ -75,7 +74,6 @@ Status TwoLevelBinaryIndex::Query(const VerticalSegmentQuery& q,
       if (bs.r) SEGDB_RETURN_IF_ERROR(bs.r->Query(q.x0, q.ylo, q.yhi, out));
       cur = node.children[1];
     }
-    if (cur >= 0) HintChild(cur, &ahead);
   }
   return Status::OK();
 }

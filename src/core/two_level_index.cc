@@ -640,18 +640,6 @@ Status TwoLevelIndex::ScanLeafPages(const Node& leaf,
   return Status::OK();
 }
 
-void TwoLevelIndex::HintChild(int32_t child,
-                              std::vector<io::PageId>* ahead) const {
-  const Node& next = nodes_[child];
-  ahead->clear();
-  ahead->push_back(next.meta_page);
-  if (next.is_leaf) {
-    ahead->insert(ahead->end(), next.leaf_pages.begin(),
-                  next.leaf_pages.end());
-  }
-  pool_->Prefetch(*ahead);
-}
-
 uint64_t TwoLevelIndex::page_count() const {
   uint64_t total = 0;
   // Walk live nodes only.

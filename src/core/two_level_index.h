@@ -112,13 +112,10 @@ class TwoLevelIndex : public SegmentIndex {
 
   TwoLevelIndex(io::BufferPool* pool, Config config);
 
-  // Query steps shared by both solutions' Query: the filtered scan of a
-  // leaf's pages, and the read-ahead hint for the child the descent moves
-  // to next (staged pages are charged on first Fetch, so I/O counts stay
-  // exact). `ahead` is scratch reused across the descent.
+  // The query step shared by both solutions' Query: the filtered scan of
+  // a leaf's pages.
   Status ScanLeafPages(const Node& leaf, const VerticalSegmentQuery& q,
                        std::vector<geom::Segment>* out) const;
-  void HintChild(int32_t child, std::vector<io::PageId>* ahead) const;
 
   io::BufferPool* pool_;
   std::vector<Node> nodes_;

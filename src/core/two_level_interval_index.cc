@@ -43,7 +43,6 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
   SEGDB_IO_BOUND("log", "sqrt", "t/B");
   if (q.ylo > q.yhi) return Status::InvalidArgument("ylo > yhi");
   int32_t cur = root_;
-  std::vector<io::PageId> ahead;  // read-ahead hint for the next descent step
   while (cur >= 0) {
     const Node& node = nodes_[cur];
     {
@@ -111,8 +110,6 @@ Status TwoLevelIntervalIndex::Query(const VerticalSegmentQuery& q,
     }
     if (node.g) SEGDB_RETURN_IF_ERROR(node.g->Query(q.x0, q.ylo, q.yhi, out));
     cur = node.children[k];
-    // Hint the child slab's pages before its own structures are searched.
-    if (cur >= 0) HintChild(cur, &ahead);
   }
   return Status::OK();
 }

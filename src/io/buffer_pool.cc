@@ -138,7 +138,6 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
       shard.page_table.erase(f.id);
       f.id = kInvalidPageId;
       f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
       return victim;
     }
     SEGDB_RETURN_IF_ERROR(disk_->WritePage(f.id, f.page));
@@ -151,7 +150,6 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
   shard.page_table.erase(f.id);
   f.id = kInvalidPageId;
   f.dirty.store(false, std::memory_order_relaxed);
-  f.prefetched = false;
   return victim;
 }
 
@@ -203,14 +201,7 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
   auto [it, inserted] = shard.page_table.try_emplace(id, 0);
   if (!inserted) {
     Frame& f = frames_[it->second];
-    if (f.prefetched) {
-      // First demand fetch of a staged page: charge the miss the paper's
-      // model counts for this page, without a second physical read.
-      f.prefetched = false;
-      ++shard.stats.misses;
-    } else {
-      ++shard.stats.hits;
-    }
+    ++shard.stats.hits;
     f.pin_count.fetch_add(1, std::memory_order_relaxed);
     f.lru_tick.store(NextTick(), std::memory_order_relaxed);
     return PageRef(this, it->second, id);
@@ -237,7 +228,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     f.id = id;
     f.pin_count.store(1, std::memory_order_relaxed);
     f.dirty.store(false, std::memory_order_relaxed);
-    f.prefetched = false;
     f.lru_tick.store(NextTick(), std::memory_order_relaxed);
     it->second = frame.value();
     return PageRef(this, frame.value(), id);
@@ -257,7 +247,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     f.id = id;
     f.pin_count.store(1, std::memory_order_relaxed);
     f.dirty.store(true, std::memory_order_relaxed);
-    f.prefetched = false;
     f.lru_tick.store(NextTick(), std::memory_order_relaxed);
     it->second = frame.value();
     return PageRef(this, frame.value(), id);
@@ -273,7 +262,6 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
   f.id = id;
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
-  f.prefetched = false;
   f.lru_tick.store(NextTick(), std::memory_order_relaxed);
   it->second = frame.value();
   return PageRef(this, frame.value(), id);
@@ -298,7 +286,6 @@ Result<PageRef> BufferPool::NewPage() {
   f.id = id.value();
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
-  f.prefetched = false;
   f.lru_tick.store(NextTick(), std::memory_order_relaxed);
   shard.page_table[id.value()] = frame.value();
   return PageRef(this, frame.value(), id.value());
@@ -316,7 +303,6 @@ Status BufferPool::FreePage(PageId id) {
       }
       f.id = kInvalidPageId;
       f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
       shard.page_table.erase(it);
     }
     // A freed page's id can be re-allocated by NewPage; a stale tier entry
@@ -332,96 +318,6 @@ Status BufferPool::FreePage(PageId id) {
     return Status::OK();
   }
   return disk_->FreePage(id);
-}
-
-void BufferPool::Prefetch(std::span<const PageId> ids) {
-  disk_->PrefetchPages(ids);
-
-  // Phase 1 — claim a free frame per stageable page, under its shard's
-  // lock. A claimed frame carries the page id and the stager's pin but no
-  // page-table entry, so demand fetches neither see it nor evict it; the
-  // `staging` flag tells the audit what state it is in.
-  struct Claim {
-    PageId id;
-    size_t frame;
-  };
-  std::vector<Claim> claims;
-  claims.reserve(ids.size());
-  for (PageId id : ids) {
-    if (id == kInvalidPageId) continue;
-    Shard& shard = ShardFor(id);
-    util::MutexLock lock(&shard.mu);
-    if (shard.page_table.find(id) != shard.page_table.end()) continue;
-    // Tier-resident pages are already one decompression away from a frame;
-    // staging them from disk would duplicate the bytes and break the
-    // tier/page-table disjointness invariant.
-    if (shard.ctier.find(id) != shard.ctier.end()) continue;
-    // Spilled pages must not be staged either: the device bytes are stale
-    // (the fresh bytes live in the sink until commit-time writeback).
-    if (sink_ != nullptr && sink_->Contains(id)) continue;
-    // Free frames only: read-ahead must never displace demand-resident
-    // pages, or it would perturb the measured hit/miss pattern. A frame
-    // claimed earlier in this batch has its id set, so it is not free and
-    // a duplicate id in `ids` claims nothing twice.
-    size_t free_frame = frames_.size();
-    bool already_claimed = false;
-    for (size_t idx : shard.frames) {
-      Frame& g = frames_[idx];
-      if (g.id == id && g.staging) {
-        already_claimed = true;
-        break;
-      }
-      if (free_frame == frames_.size() && g.id == kInvalidPageId) {
-        free_frame = idx;
-      }
-    }
-    if (already_claimed || free_frame == frames_.size()) continue;
-    Frame& f = frames_[free_frame];
-    f.id = id;
-    f.pin_count.store(1, std::memory_order_relaxed);
-    f.dirty.store(false, std::memory_order_relaxed);
-    f.prefetched = false;
-    f.staging = true;
-    claims.push_back(Claim{id, free_frame});
-  }
-  if (claims.empty()) return;
-
-  // Phase 2 — one uncounted bulk read for the whole batch, outside every
-  // shard lock. The file backend turns this span into deduped, merged,
-  // queue-depth-bounded async submissions; the sim backend memcpys. Either
-  // way no demand read is charged — each page's miss lands at its first
-  // Fetch, which keeps cold I/O counts bit-identical across backends.
-  std::vector<PageFill> fills;
-  fills.reserve(claims.size());
-  for (const Claim& c : claims) {
-    fills.push_back(PageFill{c.id, &frames_[c.frame].page, Status::OK()});
-  }
-  disk_->PeekPagesBatch(fills);
-
-  // Phase 3 — install or release, re-locking each shard. On a failed read
-  // (e.g. an injected fault) the frame goes back to FREE — unmapped,
-  // unpinned, clean — so the stage is a no-op and the partial bytes are
-  // unreachable; the fault-injection suite pins this down. A page that
-  // became resident meanwhile (demand fetch raced the fill) also releases
-  // the claim: the table entry wins.
-  for (size_t i = 0; i < claims.size(); ++i) {
-    const Claim& c = claims[i];
-    Shard& shard = ShardFor(c.id);
-    util::MutexLock lock(&shard.mu);
-    Frame& f = frames_[c.frame];
-    f.staging = false;
-    if (!fills[i].status.ok() ||
-        shard.page_table.find(c.id) != shard.page_table.end()) {
-      f.id = kInvalidPageId;
-      f.pin_count.store(0, std::memory_order_relaxed);
-      continue;
-    }
-    f.prefetched = true;
-    f.pin_count.store(0, std::memory_order_relaxed);
-    f.lru_tick.store(NextTick(), std::memory_order_relaxed);
-    shard.page_table[c.id] = c.frame;
-    ++shard.stats.prefetches;
-  }
 }
 
 Status BufferPool::FlushAll() {
@@ -455,7 +351,6 @@ Status BufferPool::EvictAll() {
       shard.page_table.erase(f.id);
       f.id = kInvalidPageId;
       f.dirty.store(false, std::memory_order_relaxed);
-      f.prefetched = false;
     }
     // A cold cache has no second tier either: dropping it here keeps the
     // EvictAll/ResetStats measurement protocol tier-invariant, so the
@@ -472,7 +367,7 @@ void BufferPool::CollectDirty(std::vector<PageImage>* out) const {
     util::MutexLock lock(&shard.mu);
     for (size_t idx : shard.frames) {
       const Frame& f = frames_[idx];
-      if (f.id == kInvalidPageId || f.staging) continue;
+      if (f.id == kInvalidPageId) continue;
       if (!f.dirty.load(std::memory_order_relaxed)) continue;
       PageImage image;
       image.id = f.id;
@@ -492,7 +387,6 @@ BufferPoolStats BufferPool::stats() const {
     total.hits += shard.stats.hits;
     total.misses += shard.stats.misses;
     total.writebacks += shard.stats.writebacks;
-    total.prefetches += shard.stats.prefetches;
     total.spills += shard.stats.spills;
     total.compressed_hits += shard.stats.compressed_hits;
     total.compressed_stores += shard.stats.compressed_stores;
@@ -550,26 +444,6 @@ Status BufferPool::CheckInvariants() const {
         if (f.dirty.load(std::memory_order_relaxed)) {
           return Status::Corruption("empty frame marked dirty");
         }
-        if (f.staging) {
-          return Status::Corruption("staging frame with no page id");
-        }
-        continue;
-      }
-      if (f.staging) {
-        // Claimed by an in-flight batched Prefetch: holds exactly the
-        // stager's pin, is not yet mapped (so not resident), and its page
-        // bytes are undefined until the fill completes.
-        if (f.pin_count.load(std::memory_order_relaxed) != 1) {
-          return Status::Corruption(
-              "staging frame must hold exactly the stager's pin");
-        }
-        if (f.prefetched) {
-          return Status::Corruption("staging frame already marked staged");
-        }
-        auto claimed = shard.page_table.find(f.id);
-        if (claimed != shard.page_table.end() && claimed->second == idx) {
-          return Status::Corruption("staging frame is in the page table");
-        }
         continue;
       }
       ++resident;
@@ -579,10 +453,6 @@ Status BufferPool::CheckInvariants() const {
       auto it = shard.page_table.find(f.id);
       if (it == shard.page_table.end() || it->second != idx) {
         return Status::Corruption("resident frame missing from the page table");
-      }
-      if (f.prefetched &&
-          f.pin_count.load(std::memory_order_relaxed) != 0) {
-        return Status::Corruption("staged (prefetched) frame is pinned");
       }
       if (!f.dirty.load(std::memory_order_relaxed)) {
         // A clean frame must agree with disk byte-for-byte; a mismatch

@@ -7,9 +7,9 @@
 //   -> run query -> pool.stats().misses  == cold-cache query I/Os.
 //
 // Concurrency model (DESIGN.md section 10). The read path — Fetch of
-// already-written pages, PageRef::page() const access, Release, Prefetch —
-// is safe from any number of threads. The page table is sharded (pages hash
-// to shards by id; each shard owns a disjoint set of frames and its own
+// already-written pages, PageRef::page() const access, Release — is safe
+// from any number of threads. The page table is sharded (pages hash to
+// shards by id; each shard owns a disjoint set of frames and its own
 // mutex), pin counts and LRU ticks are atomics, and eviction scans only the
 // requesting shard's frames, so readers on different shards never
 // serialize. Everything that mutates pages or the page set — NewPage,
@@ -21,11 +21,11 @@
 //
 // Lock discipline (compile-time checked on Clang, DESIGN.md section 12).
 // Each Shard::mu is a capability guarding that shard's page_table, stats,
-// and the shard-owned frames' non-atomic metadata (Frame::id,
-// Frame::prefetched). Shard mutexes are leaves and are never nested —
-// every public method locks at most one shard at a time (the quiescent
-// sweeps lock shards strictly one after another). Three fields
-// deliberately live OUTSIDE the capability as atomics:
+// and the shard-owned frames' non-atomic metadata (Frame::id). Shard
+// mutexes are leaves and are never nested — every public method locks at
+// most one shard at a time (the quiescent sweeps lock shards strictly one
+// after another). Three fields deliberately live OUTSIDE the capability
+// as atomics:
 //   - Frame::pin_count: decremented lock-free by PageRef::Release from any
 //     thread (taking the shard lock on every unpin would serialize readers
 //     that never touch the page table); its release/acquire pairing with
@@ -42,7 +42,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -114,8 +113,6 @@ class WritebackSink {
   // copy is stale until commit-time writeback.
   virtual bool TakeSpilled(PageId id, Page* out) = 0;
 
-  virtual bool Contains(PageId id) const = 0;
-
   // The pool is freeing `id`: drop any spilled bytes and remember the id so
   // the device-level free can be applied after the owning commit (keeping
   // the device free list a function of committed state only).
@@ -127,7 +124,7 @@ struct BufferPoolStats {
   uint64_t hits = 0;        // served from a resident frame
   uint64_t misses = 0;      // a demand read the paper's model charges
   uint64_t writebacks = 0;  // dirty evictions / flushes
-  uint64_t prefetches = 0;  // pages staged by Prefetch (uncharged reads)
+  uint64_t prefetches = 0;  // always 0; segbench is its only reader
   uint64_t spills = 0;      // dirty evictions diverted to a WritebackSink
   // Compressed-tier counters (zero when the tier is disabled). A fetch is
   // exactly one of hit / miss / compressed_hit — a tier promotion avoids
@@ -179,20 +176,6 @@ class BufferPool {
   // Frees a disk page. The page must not be pinned. Writer path.
   Status FreePage(PageId id);
 
-  // Read-ahead hint: stages absent pages into *free* frames of their
-  // shards, unpinned and uncharged — the first demand Fetch of a staged
-  // page still counts one miss (the I/O the paper's model charges) but
-  // needs no physical read. Never evicts; pages that don't fit or fail to
-  // read are silently skipped. Thread-safe.
-  //
-  // Completion-based: frames are claimed first (pinned, `staging`), then
-  // every claimed page is filled in ONE DiskManager::PeekPagesBatch — on
-  // the file backend that is a single batched async submission through
-  // the I/O scheduler — and installed as fills complete. Cold I/O counts
-  // are unchanged: the batch is uncounted, and each staged page's miss is
-  // still charged at its first demand Fetch.
-  void Prefetch(std::span<const PageId> ids);
-
   // Writes back all dirty frames (pages stay resident). Quiescent only.
   Status FlushAll();
 
@@ -223,11 +206,9 @@ class BufferPool {
   // stats consistency, and clean resident frames matching their on-disk
   // contents (via DiskManager::PeekPage, so no I/O is counted). Takes each
   // shard's mutex while auditing it, so it may run concurrently with the
-  // pure read path (Fetch/Release/Prefetch of clean pages) — PR 4 fixed
-  // the lock-free shard walk the thread-safety annotations flagged. It
-  // must still not overlap writers: the clean-frame-vs-disk byte compare
-  // races with writes through a pinned PageRef, which no pool lock can
-  // exclude.
+  // pure read path (Fetch/Release of clean pages). It must still not
+  // overlap writers: the clean-frame-vs-disk byte compare races with
+  // writes through a pinned PageRef, which no pool lock can exclude.
   Status CheckInvariants() const;
 
  private:
@@ -239,19 +220,6 @@ class BufferPool {
     PageId id = kInvalidPageId;
     std::atomic<int> pin_count{0};
     std::atomic<bool> dirty{false};
-    // Resident via Prefetch but not yet demand-fetched: the first Fetch
-    // charges the miss and clears this. Guarded by the owning shard's
-    // mutex — a per-frame fact the annotation language cannot name from
-    // here (the frame does not know its shard), so the guard is enforced
-    // by SEGDB_REQUIRES on every helper that touches it instead of
-    // SEGDB_GUARDED_BY.
-    bool prefetched = false;
-    // Claimed by an in-flight batched Prefetch: the frame holds the
-    // stager's pin and its id, but is NOT in the page table until the
-    // asynchronous fill completes and installs it (or releases the frame
-    // on a failed read / lost race with a demand fetch). Same guard story
-    // as `prefetched`.
-    bool staging = false;
     std::atomic<uint64_t> lru_tick{0};
   };
 

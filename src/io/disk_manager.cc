@@ -16,8 +16,6 @@ DiskStats DiskManager::stats() const {
   s.writes = counters_.writes.load(std::memory_order_relaxed);
   s.allocations = counters_.allocations.load(std::memory_order_relaxed);
   s.frees = counters_.frees.load(std::memory_order_relaxed);
-  s.prefetch_hints =
-      counters_.prefetch_hints.load(std::memory_order_relaxed);
   s.syncs = counters_.syncs.load(std::memory_order_relaxed);
   return s;
 }
@@ -32,7 +30,6 @@ void DiskManager::ResetStats() {
   counters_.writes.store(0, std::memory_order_relaxed);
   counters_.allocations.store(0, std::memory_order_relaxed);
   counters_.frees.store(0, std::memory_order_relaxed);
-  counters_.prefetch_hints.store(0, std::memory_order_relaxed);
   counters_.syncs.store(0, std::memory_order_relaxed);
 }
 
@@ -171,16 +168,6 @@ std::vector<PageId> SimDiskManager::LivePages() const {
     }
   }
   return out;
-}
-
-void SimDiskManager::PrefetchPages(std::span<const PageId> ids) {
-  uint64_t hinted = 0;
-  for (PageId id : ids) {
-    if (IsLive(id)) ++hinted;
-  }
-  if (hinted != 0) {
-    counters_.prefetch_hints.fetch_add(hinted, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace segdb::io

@@ -7,26 +7,26 @@
 //   - SimDiskManager (this header): RAM-backed simulation. Backing memory
 //     is irrelevant to the measured quantity (page transfers), so every
 //     model-level experiment runs here.
-//   - io::FileDiskManager (file_disk_manager.h): a real file with
-//     O_DIRECT + batched asynchronous reads through an AsyncIoEngine
-//     (io_uring or a thread-pool fallback). Same counter semantics, so
-//     golden I/O counts are bit-identical across backends.
+//   - io::FileDiskManager (file_disk_manager.h): a real file read and
+//     written with synchronous pread/pwrite, O_DIRECT where the filesystem
+//     allows it. Same counter semantics, so golden I/O counts are
+//     bit-identical across backends.
 //
 // io::FaultInjectingDiskManager composes over either backend, injecting a
 // seeded fault plan above the device.
 //
-// Concurrency: the read path — ReadPage, PeekPage, PeekPagesBatch,
-// PrefetchPages, the stats snapshot — is safe from any number of threads
-// (counters are atomics; page slots have stable addresses). The page-set
-// mutators — AllocatePage and FreePage — serialize against each other on
-// an internal mutex and may run CONCURRENTLY with the read path: the
-// epoch-swap engine (DESIGN.md section 18) builds a replacement index —
-// allocating and writing fresh pages — while readers drain through the
-// old one, so the device must tolerate a single mutator under a live
-// read storm. Per-page content races remain the layer above's problem:
-// WritePage/WritePagePrefix concurrent with ReadPage of the SAME page is
-// undefined, and the BufferPool's per-frame pins prevent it (a page is
-// only ever filled or written back by the thread holding its frame).
+// Concurrency: the read path — ReadPage, PeekPage, the stats snapshot —
+// is safe from any number of threads (counters are atomics; page slots
+// have stable addresses). The page-set mutators — AllocatePage and
+// FreePage — serialize against each other on an internal mutex and may
+// run CONCURRENTLY with the read path: the epoch-swap engine (DESIGN.md
+// section 18) builds a replacement index — allocating and writing fresh
+// pages — while readers drain through the old one, so the device must
+// tolerate a single mutator under a live read storm. Per-page content
+// races remain the layer above's problem: WritePage/WritePagePrefix
+// concurrent with ReadPage of the SAME page is undefined, and the
+// BufferPool's per-frame pins prevent it (a page is only ever filled or
+// written back by the thread holding its frame).
 // ResetStats still requires quiescence.
 //
 // Lock discipline (DESIGN.md section 12): SimDiskManager's mutex guards
@@ -59,8 +59,7 @@ struct DiskStats {
   uint64_t writes = 0;
   uint64_t allocations = 0;
   uint64_t frees = 0;
-  uint64_t prefetch_hints = 0;  // pages named in PrefetchPages calls
-  uint64_t syncs = 0;           // durability barriers (Sync calls)
+  uint64_t syncs = 0;  // durability barriers (Sync calls)
 };
 
 // A page id paired with a full copy of its bytes: the unit the write-ahead
@@ -72,10 +71,9 @@ struct PageImage {
   std::vector<uint8_t> bytes;
 };
 
-// One page of an uncounted bulk read (PeekPagesBatch): the device fills
-// `out` (which must match the page size) and records the per-page outcome
-// in `status`. Pages are attempted in order, so a fault-injecting wrapper
-// draws exactly one decision per fill, same as a PeekPage loop.
+// One page of an uncounted bulk read (PeekPagesBatch): `out` (which must
+// match the page size) receives the bytes and `status` the outcome.
+// segbench is its only user outside tests.
 struct PageFill {
   PageId id = kInvalidPageId;
   Page* out = nullptr;
@@ -112,7 +110,7 @@ class DiskManager {
 
   // Like ReadPage but counts nothing — the buffer pool's audit compares
   // resident frames against disk without perturbing the I/O measurement
-  // protocol, and Prefetch stages pages whose read is charged later.
+  // protocol.
   virtual Status PeekPage(PageId id, Page* out) const = 0;
 
   // Stores the page contents. Counts one physical write.
@@ -126,15 +124,12 @@ class DiskManager {
   virtual Status WritePagePrefix(PageId id, const Page& page,
                                  uint32_t prefix_bytes) = 0;
 
-  // Uncounted bulk read of many pages (the buffer pool's prefetch fill).
-  // Backends with an async engine batch the whole span into one
-  // submission; the default is a PeekPage loop in fill order.
+  // A PeekPage loop in fill order; segbench is its only caller outside
+  // tests.
   virtual void PeekPagesBatch(std::span<PageFill> fills);
 
-  // Read-ahead hint: a real device would queue the block reads here; the
-  // simulation only counts the hinted pages (invalid or dead ids are
-  // ignored). Thread-safe.
-  virtual void PrefetchPages(std::span<const PageId> ids) = 0;
+  // Does nothing; segbench is its only caller.
+  virtual void PrefetchPages(std::span<const PageId> /*ids*/) {}
 
   // Durability barrier: on return, every previously acknowledged write has
   // reached stable storage. The RAM-backed simulation is trivially durable,
@@ -162,7 +157,6 @@ class DiskManager {
     std::atomic<uint64_t> writes{0};
     std::atomic<uint64_t> allocations{0};
     std::atomic<uint64_t> frees{0};
-    std::atomic<uint64_t> prefetch_hints{0};
     std::atomic<uint64_t> syncs{0};
   };
   Counters counters_;
@@ -185,7 +179,6 @@ class SimDiskManager : public DiskManager {
   Status WritePage(PageId id, const Page& page) override;
   Status WritePagePrefix(PageId id, const Page& page,
                          uint32_t prefix_bytes) override;
-  void PrefetchPages(std::span<const PageId> ids) override;
   uint64_t pages_in_use() const override {
     return pages_in_use_.load(std::memory_order_relaxed);
   }

@@ -209,36 +209,4 @@ Status FaultInjectingDiskManager::WritePagePrefix(PageId id, const Page& page,
   return fate;
 }
 
-void FaultInjectingDiskManager::PeekPagesBatch(std::span<PageFill> fills) {
-  // Decide each fill's fate in order, so the fault stream is identical to a
-  // PeekPage loop over the same ids. Surviving fills are forwarded to the
-  // backend in one (sub-)batch.
-  std::vector<PageFill> pass;
-  std::vector<size_t> pass_index;
-  pass.reserve(fills.size());
-  pass_index.reserve(fills.size());
-  {
-    util::MutexLock lock(&mu_);
-    for (size_t i = 0; i < fills.size(); ++i) {
-      uint32_t unused = 0;
-      Status fate = Decide(Op::kPeek, fills[i].id, &unused);
-      if (fate.ok()) {
-        pass.push_back(PageFill{fills[i].id, fills[i].out, Status::OK()});
-        pass_index.push_back(i);
-      } else {
-        fills[i].status = std::move(fate);
-      }
-    }
-  }
-  if (pass.empty()) return;
-  base_->PeekPagesBatch(pass);
-  for (size_t j = 0; j < pass.size(); ++j) {
-    fills[pass_index[j]].status = std::move(pass[j].status);
-  }
-}
-
-void FaultInjectingDiskManager::PrefetchPages(std::span<const PageId> ids) {
-  base_->PrefetchPages(ids);
-}
-
 }  // namespace segdb::io

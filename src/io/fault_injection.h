@@ -16,7 +16,7 @@
 // The wrapper composes over any DiskManager backend. The historical
 // one-argument form owns a SimDiskManager; the composing form takes a
 // non-owned base — pointing it at a FileDiskManager injects the same
-// seeded fault stream above the async engine, and a torn write genuinely
+// seeded fault stream above the real file, and a torn write genuinely
 // truncates the file write (via DiskManager::WritePagePrefix). Because
 // faults are decided *above* the device, a sim-backed and a file-backed
 // run with the same plan and op sequence observe identical fault streams
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "io/disk_manager.h"
@@ -182,8 +181,6 @@ class FaultInjectingDiskManager : public DiskManager {
   Status WritePagePrefix(PageId id, const Page& page,
                          uint32_t prefix_bytes) override;
   Status Sync() override;
-  void PeekPagesBatch(std::span<PageFill> fills) override;
-  void PrefetchPages(std::span<const PageId> ids) override;
   uint64_t pages_in_use() const override { return base_->pages_in_use(); }
   uint64_t high_water_pages() const override {
     return base_->high_water_pages();

@@ -51,6 +51,52 @@ uint64_t RoundUp(uint64_t v, uint64_t align) {
 
 }  // namespace
 
+Status ReadFullAt(int fd, uint8_t* dst, size_t len, uint64_t offset,
+                  PreadFn raw) {
+  if (raw == nullptr) {
+    raw = [](int f, void* b, unsigned long n, long off) -> long {
+      return ::pread(f, b, n, off);
+    };
+  }
+  size_t done = 0;
+  while (done < len) {
+    long n = raw(fd, dst + done, len - done,
+                 static_cast<long>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;  // retryable
+      return Status::IoError(ErrnoMsg("pread", errno));
+    }
+    if (n == 0) {
+      return Status::IoError("pread: unexpected end of file");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Status WriteFullAt(int fd, const uint8_t* src, size_t len, uint64_t offset,
+                   PwriteFn raw) {
+  if (raw == nullptr) {
+    raw = [](int f, const void* b, unsigned long n, long off) -> long {
+      return ::pwrite(f, b, n, off);
+    };
+  }
+  size_t done = 0;
+  while (done < len) {
+    long n = raw(fd, src + done, len - done,
+                 static_cast<long>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;  // retryable
+      return Status::IoError(ErrnoMsg("pwrite", errno));
+    }
+    if (n == 0) {
+      return Status::IoError("pwrite: wrote zero bytes");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
 FileDiskManager::FileDiskManager(uint32_t page_size,
                                  const FileDiskManagerOptions& options)
     : DiskManager(page_size),
@@ -110,16 +156,6 @@ Result<std::unique_ptr<FileDiskManager>> FileDiskManager::Open(
     dm->Close().IgnoreError();
     return init;
   }
-  Result<std::unique_ptr<AsyncIoEngine>> engine =
-      CreateAsyncIoEngine(fd, options.engine);
-  if (!engine.ok()) {
-    dm->Close().IgnoreError();
-    return engine.status();
-  }
-  dm->engine_ = std::move(engine.value());
-  dm->scheduler_ = std::make_unique<IoScheduler>(
-      dm->engine_.get(), dm->page_size(), dm->data_offset_,
-      options.max_merge_pages);
   return {std::move(dm)};
 }
 
@@ -230,8 +266,6 @@ Status FileDiskManager::Close() {
   util::MutexLock lock(&mu_);
   if (fd_ < 0) return Status::OK();
   Status meta = data_offset_ != 0 ? WriteMeta() : Status::OK();
-  scheduler_.reset();
-  engine_.reset();  // before the fd they operate on goes away
   if (::close(fd_) != 0 && meta.ok()) {
     meta = Status::IoError(ErrnoMsg("close", errno));
   }
@@ -389,51 +423,6 @@ Status FileDiskManager::WritePagePrefix(PageId id, const Page& page,
   return Status::OK();
 }
 
-void FileDiskManager::PeekPagesBatch(std::span<PageFill> fills) {
-  util::MutexLock lock(&mu_);
-  if (fd_ < 0) {
-    for (PageFill& fill : fills) {
-      fill.status = Status::FailedPrecondition("device is closed");
-    }
-    return;
-  }
-  std::vector<PageReadRequest> requests;
-  std::vector<size_t> request_fill;
-  requests.reserve(fills.size());
-  request_fill.reserve(fills.size());
-  for (size_t i = 0; i < fills.size(); ++i) {
-    PageFill& fill = fills[i];
-    if (!IsLive(fill.id)) {
-      fill.status = Status::InvalidArgument("PeekPage: page not allocated");
-    } else if (fill.out->size() != page_size()) {
-      fill.status =
-          Status::InvalidArgument("PeekPage: page buffer size mismatch");
-    } else {
-      requests.push_back(PageReadRequest{fill.id, fill.out->data(),
-                                         Status::OK()});
-      request_fill.push_back(i);
-    }
-  }
-  if (requests.empty()) return;
-  // Submission-level failures surface through the per-request statuses the
-  // scheduler sets; nothing extra to do with the return here.
-  scheduler_->ReadPages(requests).IgnoreError();
-  for (size_t j = 0; j < requests.size(); ++j) {
-    fills[request_fill[j]].status = std::move(requests[j].status);
-  }
-}
-
-void FileDiskManager::PrefetchPages(std::span<const PageId> ids) {
-  util::MutexLock lock(&mu_);
-  uint64_t hinted = 0;
-  for (PageId id : ids) {
-    if (IsLive(id)) ++hinted;
-  }
-  if (hinted != 0) {
-    counters_.prefetch_hints.fetch_add(hinted, std::memory_order_relaxed);
-  }
-}
-
 uint64_t FileDiskManager::pages_in_use() const {
   util::MutexLock lock(&mu_);
   return pages_in_use_count_;
@@ -442,16 +431,6 @@ uint64_t FileDiskManager::pages_in_use() const {
 uint64_t FileDiskManager::high_water_pages() const {
   util::MutexLock lock(&mu_);
   return high_water_;
-}
-
-IoSchedulerStats FileDiskManager::scheduler_stats() const {
-  util::MutexLock lock(&mu_);
-  return scheduler_ ? scheduler_->stats() : IoSchedulerStats{};
-}
-
-void FileDiskManager::ResetSchedulerStats() {
-  util::MutexLock lock(&mu_);
-  if (scheduler_) scheduler_->ResetStats();
 }
 
 }  // namespace segdb::io

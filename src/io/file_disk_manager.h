@@ -1,10 +1,10 @@
 // The real-file DiskManager backend: fixed-size pages in a single file,
-// read with O_DIRECT where the filesystem allows it and batched through
-// an AsyncIoEngine + IoScheduler. Counter semantics are identical to
-// SimDiskManager — a ReadPage is one charged read, PeekPage/PeekPagesBatch
-// are uncounted, AllocatePage charges an allocation but not the physical
-// zeroing — so the golden cold-I/O tables pin both backends with the same
-// numbers; only wall-clock differs.
+// moved one page per synchronous pread/pwrite through an aligned bounce
+// buffer, with O_DIRECT where the filesystem allows it. Counter semantics
+// are identical to SimDiskManager — a ReadPage is one charged read,
+// PeekPage is uncounted, AllocatePage charges an allocation but not the
+// physical zeroing — so the golden cold-I/O tables pin both backends with
+// the same numbers; only wall-clock differs.
 //
 // File layout (all regions page_size-aligned; page_size must be a
 // multiple of 4 KiB, the O_DIRECT transfer granule):
@@ -25,26 +25,45 @@
 // benchmarks the page-cached path.
 //
 // Concurrency: same contract as the abstract base — the read path is
-// safe from any number of threads. The engine and scheduler are
-// single-driver, so an internal mutex serializes device access; the
-// atomic counters keep the stats snapshot lock-free.
+// safe from any number of threads. The bounce buffer is shared, so an
+// internal mutex serializes device access; the atomic counters keep the
+// stats snapshot lock-free.
 #ifndef SEGDB_IO_FILE_DISK_MANAGER_H_
 #define SEGDB_IO_FILE_DISK_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "io/async_io_engine.h"
 #include "io/disk_manager.h"
-#include "io/io_scheduler.h"
 #include "io/page.h"
 #include "util/status.h"
 #include "util/sync.h"
 
 namespace segdb::io {
+
+// pread/pwrite with EINTR and short-transfer retry. The function-pointer
+// seam lets tests inject syscall behaviors (EINTR storms, short reads)
+// without a real flaky device; production callers pass nullptr for the
+// real syscalls.
+using PreadFn = long (*)(int fd, void* buf, unsigned long count,
+                         long offset);
+using PwriteFn = long (*)(int fd, const void* buf, unsigned long count,
+                          long offset);
+Status ReadFullAt(int fd, uint8_t* dst, size_t len, uint64_t offset,
+                  PreadFn raw = nullptr);
+Status WriteFullAt(int fd, const uint8_t* src, size_t len, uint64_t offset,
+                   PwriteFn raw = nullptr);
+
+// Always zero: nothing batches reads. segbench is its only reader.
+struct IoSchedulerStats {
+  uint64_t pages = 0;
+  uint64_t submissions = 0;
+  uint64_t merged_pages = 0;
+  uint64_t max_inflight = 0;
+};
 
 struct FileDiskManagerOptions {
   // Device block size; must be a positive multiple of 4096.
@@ -54,9 +73,6 @@ struct FileDiskManagerOptions {
   uint64_t max_pages = uint64_t{1} << 20;
   enum class Direct : uint8_t { kAuto, kOn, kOff };
   Direct direct = Direct::kAuto;
-  AsyncIoEngineOptions engine;
-  // Longest adjacent page run the scheduler fuses into one transfer.
-  uint32_t max_merge_pages = 16;
 };
 
 class FileDiskManager final : public DiskManager {
@@ -82,16 +98,15 @@ class FileDiskManager final : public DiskManager {
   Status WritePagePrefix(PageId id, const Page& page,
                          uint32_t prefix_bytes) override;
   Status Sync() override;
-  void PeekPagesBatch(std::span<PageFill> fills) override;
-  void PrefetchPages(std::span<const PageId> ids) override;
   uint64_t pages_in_use() const override;
   uint64_t high_water_pages() const override;
 
   // Introspection for tests and bench telemetry.
-  const char* engine_name() const { return engine_->name(); }
   bool direct_io() const { return direct_; }
-  IoSchedulerStats scheduler_stats() const;
-  void ResetSchedulerStats();
+  // Fixed answers; segbench is their only reader.
+  const char* engine_name() const { return "pread"; }
+  IoSchedulerStats scheduler_stats() const { return {}; }
+  void ResetSchedulerStats() {}
 
  private:
   FileDiskManager(uint32_t page_size, const FileDiskManagerOptions& options);
@@ -117,8 +132,6 @@ class FileDiskManager final : public DiskManager {
   bool direct_ = false;  // set once in Open, read-only afterwards
   uint64_t bitmap_bytes_ = 0;   // fixed at create
   uint64_t data_offset_ = 0;    // fixed at create
-  std::unique_ptr<AsyncIoEngine> engine_;           // driven under mu_
-  mutable std::unique_ptr<IoScheduler> scheduler_;  // driven under mu_
   // Aligned bounce for single-block transfers, guarded like the fd.
   std::unique_ptr<uint8_t[], void (*)(void*)> bounce_ SEGDB_GUARDED_BY(mu_);
 

@@ -105,11 +105,6 @@ bool DirtyPageSpill::TakeSpilled(PageId id, Page* out) {
   return true;
 }
 
-bool DirtyPageSpill::Contains(PageId id) const {
-  util::MutexLock lock(&mu_);
-  return spilled_.find(id) != spilled_.end();
-}
-
 void DirtyPageSpill::DeferFree(PageId id) {
   util::MutexLock lock(&mu_);
   // A freed page's bytes are garbage; any spilled image of it is dead.

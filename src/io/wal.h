@@ -89,7 +89,6 @@ class DirtyPageSpill final : public WritebackSink {
 
   void CaptureEviction(PageId id, const Page& page) override;
   bool TakeSpilled(PageId id, Page* out) override;
-  bool Contains(PageId id) const override;
   void DeferFree(PageId id) override;
 
   // Appends a PageImage per spilled page, ascending by id (canonical order

@@ -1,10 +1,9 @@
 // Concurrent read-path tests: Fetch/Release storms against the sharded
-// buffer pool (hot/cold mixes, eviction pressure, prefetch interleaving)
-// and parallel QueryEngine batches against both two-level structures with
-// oracle-checked results. Run under the `tsan` CMake preset to verify the
-// synchronization, and in every build to verify the semantics:
-// CheckInvariants() must hold once quiesced, and cold-cache I/O counts
-// must not depend on the shard count.
+// buffer pool (hot/cold mixes, eviction pressure) and parallel QueryEngine
+// batches against both two-level structures with oracle-checked results.
+// Run under the `tsan` CMake preset to verify the synchronization, and in
+// every build to verify the semantics: CheckInvariants() must hold once
+// quiesced, and cold-cache I/O counts must not depend on the shard count.
 
 #include <gtest/gtest.h>
 
@@ -113,43 +112,6 @@ TEST(ConcurrencyTest, CrossShardEvictionStorm) {
   auto ids = FillPages(&pool, 4096);
   FetchStorm(&pool, ids, 6, 2000);
   ASSERT_TRUE(pool.CheckInvariants().ok());
-}
-
-TEST(ConcurrencyTest, ConcurrentPrefetchAndFetch) {
-  io::SimDiskManager disk(256);
-  io::BufferPool pool(&disk, 4096);
-  auto ids = FillPages(&pool, 2048);
-  ASSERT_TRUE(pool.EvictAll().ok());
-  pool.ResetStats();
-  std::atomic<uint64_t> bad{0};
-  std::vector<std::thread> workers;
-  for (size_t t = 0; t < 6; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(2000 + t);
-      std::vector<io::PageId> span;
-      for (size_t i = 0; i < 1500; ++i) {
-        if (t % 2 == 0) {
-          // Prefetcher: stage a small random run of pages.
-          span.clear();
-          const size_t base = rng.Uniform(ids.size() - 4);
-          for (size_t k = 0; k < 4; ++k) span.push_back(ids[base + k]);
-          pool.Prefetch(span);
-        } else {
-          const io::PageId id = ids[rng.Uniform(ids.size())];
-          auto ref = pool.Fetch(id);
-          if (!ref.ok() ||
-              ref.value().page().ReadAt<uint64_t>(0) != Stamp(id)) {
-            ++bad;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(bad.load(), 0u);
-  ASSERT_TRUE(pool.CheckInvariants().ok());
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, stats.fetches);
 }
 
 TEST(ConcurrencyTest, ColdIoCountsIndependentOfShardCount) {

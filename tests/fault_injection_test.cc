@@ -327,42 +327,6 @@ class PoolFaultTest : public ::testing::Test {
   io::BufferPool pool_;
 };
 
-// Satellite 1: a Prefetch whose staged reads fail must release the staged
-// frames — no leaked frames, no leaked pins, pool fully usable after.
-TEST_F(PoolFaultTest, PrefetchStagedReadFailureLeaksNothing) {
-  const auto ids = MakePages(16);
-
-  Arm(/*read_rate=*/1.0, /*alloc_rate=*/0.0);
-  pool_.Prefetch(ids);  // every staged read fails; all must be skipped
-  disk_.set_enabled(false);
-
-  EXPECT_TRUE(pool_.CheckInvariants().ok());
-  // EvictAll fails if any frame kept a pin; a leaked *frame* would shrink
-  // the pool below the 8 fetches that follow.
-  EXPECT_TRUE(pool_.EvictAll().ok());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto ref = pool_.Fetch(ids[i]);
-    ASSERT_TRUE(ref.ok()) << "page " << i;
-    EXPECT_EQ(ref.value().page().ReadAt<uint32_t>(0), i);
-  }
-  EXPECT_TRUE(pool_.CheckInvariants().ok());
-}
-
-TEST_F(PoolFaultTest, PrefetchPartialFailureStagesTheRest) {
-  const auto ids = MakePages(6);
-
-  Arm(/*read_rate=*/0.5, /*alloc_rate=*/0.0);
-  pool_.Prefetch(ids);
-  disk_.set_enabled(false);
-
-  EXPECT_TRUE(pool_.CheckInvariants().ok());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto ref = pool_.Fetch(ids[i]);  // staged or demand-read, same answer
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref.value().page().ReadAt<uint32_t>(0), i);
-  }
-}
-
 TEST_F(PoolFaultTest, FetchReadFailureReleasesTheGrabbedFrame) {
   const auto ids = MakePages(4);
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "io/async_io_engine.h"
 #include "io/disk_manager.h"
 #include "io/file_disk_manager.h"
 
@@ -182,8 +181,6 @@ TEST(FileDiskManagerTest, CountersMatchSimBackendOpForOp) {
     // Torn write: counted like a whole write on a live page.
     ASSERT_TRUE(disk.WritePagePrefix(ids[1], MakePattern(4096, 99), 100).ok());
     ASSERT_TRUE(disk.FreePage(ids[4]).ok());
-    const PageId hints[] = {ids[5], ids[6]};
-    disk.PrefetchPages(hints);
   };
   drive(file);
   drive(sim);
@@ -192,7 +189,6 @@ TEST(FileDiskManagerTest, CountersMatchSimBackendOpForOp) {
   EXPECT_EQ(file.stats().writes, sim.stats().writes);
   EXPECT_EQ(file.stats().allocations, sim.stats().allocations);
   EXPECT_EQ(file.stats().frees, sim.stats().frees);
-  EXPECT_EQ(file.stats().prefetch_hints, sim.stats().prefetch_hints);
   EXPECT_EQ(file.pages_in_use(), sim.pages_in_use());
   EXPECT_EQ(file.high_water_pages(), sim.high_water_pages());
 
@@ -210,20 +206,25 @@ TEST(FileDiskManagerTest, CountersMatchSimBackendOpForOp) {
   std::remove(path.c_str());
 }
 
-// Every engine the factory can build must serve the same bytes. kAuto
-// covers io_uring where the kernel has it; kThreads and kSync always
-// exist.
-TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
-  std::vector<IoEngineKind> kinds = {IoEngineKind::kThreads,
-                                     IoEngineKind::kSync};
-  if (IoUringSupported()) kinds.push_back(IoEngineKind::kIoUring);
-  for (const IoEngineKind kind : kinds) {
-    const std::string path = TempPath("fdm_engine.segdb");
+// Every Direct mode serves the same bytes through the one pread/pwrite
+// path. kOn must either really bypass the page cache or refuse to open
+// (tmpfs has no O_DIRECT); it never degrades silently like kAuto.
+TEST(FileDiskManagerTest, DirectModesServeIdenticalBytes) {
+  using Direct = FileDiskManagerOptions::Direct;
+  for (const Direct mode : {Direct::kOff, Direct::kAuto, Direct::kOn}) {
+    const std::string path = TempPath("fdm_direct.segdb");
     FileDiskManagerOptions options;
-    options.engine.kind = kind;
+    options.direct = mode;
     auto opened = FileDiskManager::Open(path, options);
+    if (mode == Direct::kOn && !opened.ok()) {
+      EXPECT_EQ(opened.status().code(), StatusCode::kIoError);
+      continue;
+    }
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     auto& disk = *opened.value();
+    if (mode != Direct::kAuto) {
+      EXPECT_EQ(disk.direct_io(), mode == Direct::kOn);
+    }
     std::vector<PageId> ids;
     for (int i = 0; i < 64; ++i) {
       auto id = disk.AllocatePage();
@@ -232,22 +233,14 @@ TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
       ASSERT_TRUE(disk.WritePage(
           id.value(), MakePattern(4096, static_cast<uint8_t>(i * 3))).ok());
     }
-    // Batch read through the scheduler (merge + waves under this engine).
-    std::vector<Page> pages(ids.size(), Page(4096));
-    std::vector<PageFill> fills;
+    Page out(4096);
     for (size_t i = 0; i < ids.size(); ++i) {
-      fills.push_back({ids[i], &pages[i], Status::OK()});
-    }
-    disk.PeekPagesBatch(fills);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_TRUE(fills[i].status.ok()) << disk.engine_name();
+      ASSERT_TRUE(disk.ReadPage(ids[i], &out).ok());
       const Page want = MakePattern(4096, static_cast<uint8_t>(i * 3));
-      ASSERT_EQ(std::memcmp(pages[i].data(), want.data(), 4096), 0)
-          << disk.engine_name() << " page " << i;
+      ASSERT_EQ(std::memcmp(out.data(), want.data(), 4096), 0)
+          << "mode " << static_cast<int>(mode) << " page " << i;
     }
-    const IoSchedulerStats sched = disk.scheduler_stats();
-    EXPECT_EQ(sched.pages, ids.size());
-    EXPECT_GT(sched.merged_pages, 0u) << disk.engine_name();
+    EXPECT_EQ(disk.stats().reads, ids.size());
     ASSERT_TRUE(disk.Close().ok());
     std::remove(path.c_str());
   }
@@ -255,9 +248,9 @@ TEST(FileDiskManagerTest, AllEnginesServeIdenticalBytes) {
 
 // --- EINTR / short-transfer retry seam -------------------------------------
 //
-// ReadFullAt / WriteFullAt are the fallback-path primitives (thread-pool
-// engine workers, superblock/bitmap metadata I/O). The function-pointer
-// seam injects syscall behaviors a real device only shows under load.
+// ReadFullAt / WriteFullAt carry every FileDiskManager transfer (pages,
+// superblock and bitmap). The function-pointer seam injects syscall
+// behaviors a real device only shows under load.
 
 int g_fake_fd = -1;
 int g_eintr_budget = 0;

@@ -16,7 +16,7 @@ google-benchmark output (BENCH_micro.json, top-level `benchmarks`):
   * each extra argv substring must match at least one benchmark name
     (defaults to requiring the scan_kernel and decode_kernel sections).
 
-segdb experiment records (BENCH_e3/e4/e14.json, top-level `records`):
+segdb experiment records (BENCH_e3/e4.json, top-level `records`):
   * top level has `hardware_threads` and a non-empty `records` list;
   * every record names its experiment/structure and has finite
     non-negative n/page_size/num_queries/avg_ios;
@@ -25,19 +25,11 @@ segdb experiment records (BENCH_e3/e4/e14.json, top-level `records`):
   * wall fields are optional (cold I/O-count rows omit them entirely —
     a literal `"wall_ns": 0` is rejected); when present, wall_ns and
     queries_per_sec must appear together, finite and positive;
-  * latency percentiles are all-or-none: p50_ns/p95_ns/p99_ns must appear
-    together, finite positive and ordered p50 <= p95 <= p99; any record
-    whose experiment name contains "serving" must carry them along with a
-    positive integer queue_depth;
-  * io_backend (when present) is a non-empty string; io_speedup and
-    queue_depth (when present) are finite positive;
+  * io_backend (when present) is a non-empty string;
   * each extra argv substring must match at least one experiment name;
   * with --min-ratio X, at least one record must report a column-codec
     compression_ratio, and every reported ratio must be >= X (the
-    acceptance floor is 1.3);
-  * with --min-io-speedup X, at least one record must report io_speedup
-    (batched async cold reads over one-syscall-per-page wall time), and
-    every reported speedup must be >= X (the acceptance floor is 1.3).
+    acceptance floor is 1.3).
 """
 import json
 import math
@@ -58,43 +50,19 @@ def finite_pos(v) -> bool:
 
 
 def check_record_wall(r: dict, exp: str) -> None:
-    """Wall/latency/io fields: omitted entirely or present and meaningful."""
+    """Wall/io fields: omitted entirely or present and meaningful."""
     has_wall = "wall_ns" in r or "queries_per_sec" in r
     if has_wall:
         for key in ("wall_ns", "queries_per_sec"):
             if not finite_pos(r.get(key)):
                 fail(f"{exp}: bad {key} {r.get(key)!r} "
                      "(omit wall fields on unmeasured records)")
-    pct = ("p50_ns", "p95_ns", "p99_ns")
-    has_pct = any(k in r for k in pct)
-    if has_pct:
-        for key in pct:
-            if not finite_pos(r.get(key)):
-                fail(f"{exp}: bad {key} {r.get(key)!r} "
-                     "(percentiles are all-or-none)")
-        if not r["p50_ns"] <= r["p95_ns"] <= r["p99_ns"]:
-            fail(f"{exp}: percentiles not ordered "
-                 f"({r['p50_ns']}, {r['p95_ns']}, {r['p99_ns']})")
-    if "queue_depth" in r:
-        qd = r["queue_depth"]
-        if not (isinstance(qd, int) and qd > 0):
-            fail(f"{exp}: bad queue_depth {qd!r}")
     if "io_backend" in r:
         if not isinstance(r["io_backend"], str) or not r["io_backend"]:
             fail(f"{exp}: bad io_backend {r['io_backend']!r}")
-    if "io_speedup" in r and not finite_pos(r["io_speedup"]):
-        fail(f"{exp}: bad io_speedup {r['io_speedup']!r}")
-    # Serving records exist to carry the latency telemetry; a serving row
-    # without it is a silent regression, not a valid shape.
-    if "serving" in exp:
-        if not has_pct:
-            fail(f"{exp}: serving record without latency percentiles")
-        if "queue_depth" not in r:
-            fail(f"{exp}: serving record without queue_depth")
 
 
-def check_records(doc: dict, path: str, required, min_ratio,
-                  min_io_speedup) -> None:
+def check_records(doc: dict, path: str, required, min_ratio) -> None:
     if "hardware_threads" not in doc:
         fail("records file missing hardware_threads")
     records = doc.get("records")
@@ -102,7 +70,6 @@ def check_records(doc: dict, path: str, required, min_ratio,
         fail("records missing or empty")
     names = []
     ratios = []
-    speedups = []
     for r in records:
         exp = r.get("experiment")
         if not isinstance(exp, str) or not exp:
@@ -125,8 +92,6 @@ def check_records(doc: dict, path: str, required, min_ratio,
             fail(f"{exp}: bad compression_ratio {ratio!r}")
         if ratio:
             ratios.append((exp, ratio))
-        if "io_speedup" in r:
-            speedups.append((exp, r["io_speedup"]))
     for sub in required:
         if not any(sub in n for n in names):
             fail(f"no record matching {sub!r}")
@@ -136,32 +101,23 @@ def check_records(doc: dict, path: str, required, min_ratio,
         for exp, ratio in ratios:
             if ratio < min_ratio:
                 fail(f"{exp}: compression_ratio {ratio:.4f} < {min_ratio}")
-    if min_io_speedup is not None:
-        if not speedups:
-            fail("no record reports an io_speedup")
-        for exp, speedup in speedups:
-            if speedup < min_io_speedup:
-                fail(f"{exp}: io_speedup {speedup:.3f} < {min_io_speedup}")
     print(f"check_bench_json: OK: {len(names)} records in {path}")
 
 
 def main() -> None:
     args = sys.argv[1:]
-    thresholds = {"--min-ratio": None, "--min-io-speedup": None}
-    while args and args[0] in thresholds:
-        flag = args[0]
+    min_ratio = None
+    if args and args[0] == "--min-ratio":
         if len(args) < 2:
-            fail(f"{flag} needs a value")
+            fail("--min-ratio needs a value")
         try:
-            thresholds[flag] = float(args[1])
+            min_ratio = float(args[1])
         except ValueError:
-            fail(f"bad {flag} value {args[1]!r}")
+            fail(f"bad --min-ratio value {args[1]!r}")
         args = args[2:]
-    min_ratio = thresholds["--min-ratio"]
-    min_io_speedup = thresholds["--min-io-speedup"]
     if not args:
         fail("usage: check_bench_json.py [--min-ratio X] "
-             "[--min-io-speedup X] BENCH.json [required-substring ...]")
+             "BENCH.json [required-substring ...]")
     path = args[0]
 
     try:
@@ -173,11 +129,10 @@ def main() -> None:
     if not isinstance(doc, dict):
         fail("top level is not an object")
     if "records" in doc:
-        check_records(doc, path, args[1:], min_ratio, min_io_speedup)
+        check_records(doc, path, args[1:], min_ratio)
         return
-    if min_ratio is not None or min_io_speedup is not None:
-        fail("--min-ratio/--min-io-speedup only apply to segdb records "
-             "files")
+    if min_ratio is not None:
+        fail("--min-ratio only applies to segdb records files")
     required = args[1:] or ["ScanKernel", "DecodeKernel"]
     context = doc.get("context")
     if not isinstance(context, dict):

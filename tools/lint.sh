@@ -52,7 +52,7 @@ else
 fi
 
 echo "lint.sh: check_bench_json.py (tracked BENCH_*.json schemas)"
-for bench in BENCH_micro.json BENCH_e3.json BENCH_e4.json BENCH_e14.json; do
+for bench in BENCH_micro.json BENCH_e3.json BENCH_e4.json; do
   python3 tools/check_bench_json.py "${bench}" || status=1
 done
 

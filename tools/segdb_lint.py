@@ -23,12 +23,11 @@ io-bypass       DiskManager::ReadPage / WritePage are called only from
                 disk directly would silently corrupt the paper's I/O
                 accounting (pool misses == charged block reads).
 raw-io          raw device syscalls (pread/pwrite/open families) and
-                liburing calls (io_uring_*) appear only in the two I/O
-                engine translation units (src/io/async_io_engine.cc,
-                src/io/file_disk_manager.cc). Anything else doing its own
-                syscalls dodges the AsyncIoEngine seam — EINTR and
-                short-transfer retries, O_DIRECT alignment, the fault
-                story — and the golden I/O accounting.
+                liburing calls (io_uring_*) appear only in the file
+                backend (src/io/file_disk_manager.cc). Anything else doing
+                its own syscalls dodges the ReadFullAt/WriteFullAt seam —
+                EINTR and short-transfer retries, O_DIRECT alignment, the
+                fault story — and the golden I/O accounting.
 naked-suppression
                 Every NO_THREAD_SAFETY_ANALYSIS use carries a
                 `// SAFETY:` justification on the same or one of the two
@@ -109,11 +108,10 @@ RAW_TIME_RE = re.compile(
     r"\bstd\s*::\s*(this_thread\s*::\s*sleep_(?:for|until)|chrono)\b")
 IO_BYPASS_RE = re.compile(
     r"\b(ReadPage|WritePage|WritePagePrefix|Sync)\s*\(")
-# The only translation units allowed to issue raw device syscalls or
+# The only translation unit allowed to issue raw device syscalls or
 # liburing calls; everything else goes through FileDiskManager or the
 # ReadFullAt/WriteFullAt helpers.
 RAW_IO_OWNERS = (
-    "src/io/async_io_engine.cc",
     "src/io/file_disk_manager.cc",
 )
 RAW_IO_RE = re.compile(
@@ -369,10 +367,10 @@ def check_raw_io(rel, _raw_lines, code_lines):
         if m:
             yield Violation(
                 rel, lineno, "raw-io",
-                f"{m.group(1)}() outside the I/O engine files "
-                f"({', '.join(RAW_IO_OWNERS)}) bypasses the AsyncIoEngine "
-                "retry/alignment seam; go through io::FileDiskManager or "
-                "io::ReadFullAt/WriteFullAt")
+                f"{m.group(1)}() outside the file backend "
+                f"({', '.join(RAW_IO_OWNERS)}) bypasses the "
+                "ReadFullAt/WriteFullAt retry/alignment seam; go through "
+                "io::FileDiskManager or io::ReadFullAt/WriteFullAt")
 
 
 def check_naked_suppression(rel, raw_lines, code_lines):

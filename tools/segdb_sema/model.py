@@ -46,13 +46,13 @@ BUILTIN_RESULT = {
 # Anything that transitively reaches one of these must not run while a
 # util::Mutex capability is held (outside the documented exempt files).
 BLOCKING_SEEDS = {
-    # DiskManager surface (device I/O, possibly through the scheduler).
+    # DiskManager surface (device I/O).
     "ReadPage", "WritePage", "PeekPage", "PeekPagesBatch",
     "WritePagePrefix", "AllocatePage", "FreePage",
-    # AsyncIoEngine submission/completion and the raw pread/pwrite loops.
-    "Start", "WaitOne", "ReadFullAt", "WriteFullAt",
+    # The raw pread/pwrite loops.
+    "ReadFullAt", "WriteFullAt",
     # BufferPool entry points (may fault in a page from the device).
-    "Fetch", "Prefetch", "NewPage", "FlushAll", "EvictAll",
+    "Fetch", "NewPage", "FlushAll", "EvictAll",
     # CondVar waits (allowed only on the mutex being waited on).
     "Wait", "WaitUntil",
     # Admission control parks the calling thread.
@@ -65,8 +65,8 @@ BLOCKING_SEEDS = {
 }
 
 # Direct page-I/O seeds for the I/O-cost family: one device page access
-# per call (Prefetch batches are still O(batch) accesses).
-IO_SEEDS = {"Fetch", "Prefetch", "NewPage", "ReadPage", "WritePage",
+# per call.
+IO_SEEDS = {"Fetch", "NewPage", "ReadPage", "WritePage",
             "PeekPage", "AllocatePage", "FreePage"}
 
 

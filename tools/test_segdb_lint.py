@@ -252,7 +252,7 @@ class RawIoTest(unittest.TestCase):
     def test_pread_fn_seam_type_not_matched(self):
         # The PreadFn/PwriteFn typedef names must not trip the rule.
         self.assertEqual(
-            segdb_lint.lint_text("src/io/async_io_engine.h",
+            segdb_lint.lint_text("src/io/file_disk_manager.h",
                                  "PreadFn pread_fn(nullptr);\n"),
             [])
 
